@@ -56,7 +56,7 @@ from .lattice import SubgroupLattice, generated_subgroup, lattice
 from .perm import Permutation, parse_cycles
 from .subgroup import SubgroupSet
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "BudgetExhaustedError",

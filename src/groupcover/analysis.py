@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 from math import factorial, lcm
 
 import numpy as np
-from sympy.utilities.iterables import partitions
 
 from .catalog import MANIFEST, construct
 from .cover import (
@@ -26,16 +25,17 @@ from .cover import (
     CoverInstance,
     SigmaResult,
     build_instance,
+    counting_certificate,
     enumerate_optimal_covers,
     greedy_upper_bound,
     reduce as reduce_instance,
     solve_exact,
 )
 from .errors import BudgetExhaustedError, CyclicGroupError, InvariantError
-from .group import DEFAULT_ELEMENT_CAP, PermGroup, StabilizerChain
+from .group import DEFAULT_ELEMENT_CAP, PermGroup, StabilizerChain, center
 from .lattice import (
     DEFAULT_JOIN_BUDGET,
-    SubgroupLattice,
+    _is_abelian_subgroup,
     generated_subgroup,
     lattice,
 )
@@ -158,17 +158,10 @@ def _compute_sigma(G: PermGroup, opts: SigmaOptions) -> SigmaResult:
 
 
 def _best_counting_certificate(ins: CoverInstance) -> Certificate:
-    best = None
-    for k in sorted(ins.order_bits):
-        n_k = ins.order_bits[k].bit_count()
-        m_k = int(ins.order_counts[k].max())
-        bound = -(-n_k // m_k)
-        if best is None or bound > best.payload["bound"]:
-            best = Certificate(
-                "counting-bound",
-                {"order": k, "elements": n_k, "max_per_subgroup": m_k, "bound": bound},
-            )
-    return best
+    return max(
+        (counting_certificate(ins, k) for k in sorted(ins.order_bits)),
+        key=lambda c: c.payload["bound"],
+    )
 
 
 def _child_sigma_fn(opts: SigmaOptions):
@@ -385,11 +378,11 @@ def structural_audit(G: PermGroup, opts: SigmaOptions | None = None) -> dict:
     opts = opts or SigmaOptions()
     lat = lattice(G, cap=opts.cap, join_budget=opts.join_budget)
     phi = lat.frattini()
-    z = lat.centre()
+    z = center(G)
     abelian_minimals = [
         N
         for N in lat.minimal_normal_subgroups()
-        if _subgroup_is_abelian(lat, N)
+        if _is_abelian_subgroup(lat.table, N.gen_ids)
     ]
     report = {
         "group": G.label(),
@@ -409,18 +402,6 @@ def structural_audit(G: PermGroup, opts: SigmaOptions | None = None) -> dict:
     return report
 
 
-def _subgroup_is_abelian(lat: SubgroupLattice, N: SubgroupSet) -> bool:
-    T = lat.table
-    ids = N.ids
-    for a in ids:
-        ra = int(a)
-        for b in ids:
-            rb = int(b)
-            if T.mul(ra, rb) != T.mul(rb, ra):
-                return False
-    return True
-
-
 # ----------------------------------------------------------------------
 # symmetric-group element counts without group construction
 
@@ -432,7 +413,7 @@ def count_symmetric_order_elements(n: int, k: int) -> int:
     if k < 1:
         raise ValueError("k must be positive")
     total = 0
-    for part in partitions(n):
+    for part in _partitions(n):
         if lcm(*part.keys()) != k:
             continue
         count = factorial(n)
@@ -440,6 +421,18 @@ def count_symmetric_order_elements(n: int, k: int) -> int:
             count //= (j**m) * factorial(m)
         total += count
     return total
+
+
+def _partitions(n: int, largest: int | None = None):
+    """Every partition of n into parts ≤ ``largest``, as {part: multiplicity}."""
+    if n == 0:
+        yield {}
+        return
+    top = n if largest is None else min(n, largest)
+    for part in range(top, 0, -1):
+        for m in range(n // part, 0, -1):
+            for rest in _partitions(n - part * m, part - 1):
+                yield {part: m, **rest}
 
 
 # ----------------------------------------------------------------------
@@ -682,4 +675,12 @@ def _sweep_one(
 
 
 def _jsonable(x):
-    return "infinity" if x == INFINITY else x
+    if x is None or isinstance(x, (bool, int, str)):
+        return x
+    if x == INFINITY:
+        return "infinity"
+    if isinstance(x, (list, tuple)):
+        return [_jsonable(v) for v in x]
+    if isinstance(x, dict):
+        return {str(k): _jsonable(v) for k, v in x.items()}
+    return str(x)

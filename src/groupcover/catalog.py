@@ -134,10 +134,8 @@ def _field(q: int) -> _Field:
 
 def _projective_perm(F: _Field, a: int, b: int, c: int, d: int, j: int = 0) -> Permutation:
     """x -> (a phi^j(x) + b) / (c phi^j(x) + d) on {inf} + GF(q); point 1 is inf."""
-    det = (F.mul[a][d] - F.mul[b][c]) % F.p if F.e == 1 else None
     if F.mul[a][d] == F.mul[b][c]:
         raise ValueError("singular fractional map")
-    del det
     q = F.q
     images = [0] * (q + 1)
     # infinity

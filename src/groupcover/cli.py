@@ -21,9 +21,9 @@ import sys
 from pathlib import Path
 
 from .analysis import (
-    INFINITY,
     ElementaryVerdict,
     SigmaOptions,
+    _jsonable,
     classification_report,
     is_sigma_elementary,
     sigma,
@@ -58,18 +58,6 @@ def _load_group(spec: str) -> PermGroup:
     return parse_group_file(path.read_text(), source=str(path))
 
 
-def _jsonable(x):
-    if x is None or isinstance(x, (bool, int, str)):
-        return x
-    if x == INFINITY:
-        return "infinity"
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    return str(x)
-
-
 def _result_document(res) -> dict:
     return {
         "group": res.group,
@@ -96,8 +84,6 @@ def _emit(doc: dict, out: str | None) -> None:
 def _options(args) -> SigmaOptions:
     if args.cap < 1:
         raise ParseError("--cap must be at least 1")
-    if args.threads < 1:
-        raise ParseError("--threads must be at least 1")
     if args.node_budget < 1:
         raise ParseError("--node-budget must be at least 1")
     return SigmaOptions(
@@ -201,8 +187,6 @@ def cmd_table(args) -> int:
 
 def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cap", type=int, default=20000, help="element-table cap")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker count (validated; execution is single-threaded)")
     p.add_argument("--node-budget", type=int, default=10**8,
                    help="search node budget; interval answers on exhaustion")
     p.add_argument("--out", help="write the JSON result document here")
@@ -241,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="recompute the classification by sums")
     p.add_argument("--max-sum", type=int, default=25)
     p.add_argument("--cap", type=int, default=20000)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--node-budget", type=int, default=10**8)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_table)

@@ -200,34 +200,22 @@ def build_instance(
 
 def counting_lower_bound(G: PermGroup, k: int, cap: int = DEFAULT_ELEMENT_CAP) -> Certificate:
     """The ⌈N_k/m_k⌉ certificate for elements of order k."""
-    if G.is_cyclic():
-        raise CyclicGroupError("counting bounds apply to non-cyclic groups")
-    lat = lattice(G, cap=cap)
-    T = lat.table
-    n_k = int(np.count_nonzero(T.orders == k))
-    if n_k == 0:
-        raise ValueError(f"{G.label()} has no elements of order {k}")
-    m_k = max((M.bits & _order_mask(lat, k)).bit_count() for M in lat.maximal_subgroups())
+    return counting_certificate(build_instance(G, cap=cap), k)
+
+
+def counting_certificate(instance: CoverInstance, k: int) -> Certificate:
+    """⌈N_k/m_k⌉: N_k elements of order k, at most m_k in any maximal subgroup."""
+    if k == 1:
+        n_k = m_k = 1  # the identity, which every subgroup holds
+    elif k in instance.order_bits:
+        n_k = instance.order_bits[k].bit_count()
+        m_k = int(instance.order_counts[k].max())
+    else:
+        raise ValueError(f"{instance.group.label()} has no elements of order {k}")
     return Certificate(
         "counting-bound",
-        {
-            "order": k,
-            "elements": n_k,
-            "max_per_subgroup": m_k,
-            "bound": ceil(n_k / m_k),
-        },
+        {"order": k, "elements": n_k, "max_per_subgroup": m_k, "bound": -(-n_k // m_k)},
     )
-
-
-def _order_mask(lat: SubgroupLattice, k: int) -> int:
-    key = ("order-mask", k)
-    mask = lat.group._cache.get(key)
-    if mask is None:
-        mask = 0
-        for i in np.nonzero(lat.table.orders == k)[0]:
-            mask |= 1 << int(i)
-        lat.group._cache[key] = mask
-    return mask
 
 
 def greedy_upper_bound(instance: CoverInstance) -> list[int]:

@@ -33,7 +33,6 @@ from .group import (
     ElementTable,
     PermGroup,
     StabilizerChain,
-    center,
 )
 from .perm import Permutation
 from .subgroup import SubgroupSet, bits_from_ids
@@ -97,7 +96,7 @@ class ChiefFactorRecord:
     """One step S/K of a maximal chain of normal subgroups, with complements.
 
     ``complement_count`` is the number of subgroups H of G with HS = G and
-    H ∩ S = K, counted by exhaustive subgroup search in G/K.
+    H ∩ S = K, counted among the subgroups of G that the worklist lists.
     """
 
     S: SubgroupSet
@@ -265,6 +264,7 @@ class SubgroupLattice:
             )
 
     def _run_worklist(self) -> None:
+        self.joins_spent = 0  # an earlier run may have stopped on its budget
         T = self.table
         n = T.n
         trivial = SubgroupSet(T, bits_from_ids([T.identity_id]), gen_ids=[])
@@ -490,9 +490,6 @@ class SubgroupLattice:
             bits &= M.bits
         return SubgroupSet(self.table, bits)
 
-    def centre(self) -> SubgroupSet:
-        return center(self.group)
-
     # -- quotients ----------------------------------------------------------
 
     def quotient_with_map(self, N: SubgroupSet):
@@ -557,23 +554,17 @@ class SubgroupLattice:
         return self._chief
 
     def _complement_count(self, S: SubgroupSet, K: SubgroupSet) -> int:
-        """Number of H ≤ G with HS = G and H ∩ S = K, via search in G/K."""
-        Q, coset_of = self.quotient_with_map(K)
-        QT = Q.table(self.table.n)
-        reps = _reps_from_coset_map(coset_of)
-        image_ids = sorted(
-            {_quotient_image_id(self.table, QT, coset_of, reps, int(g))
-             for g in S.gen_ids}
+        """Number of H ≤ G with HS = G and H ∩ S = K.
+
+        Such an H has order |G||K|/|S|, and conversely a subgroup of that
+        order meeting S in K has |HS| = |G|, so the count reads straight off
+        the worklist's list of all subgroups.
+        """
+        want = self.table.n * K.order // S.order
+        return sum(
+            1 for H in self.all_subgroups()
+            if H.order == want and H.bits & S.bits == K.bits
         )
-        s_image = generated_subgroup(QT, image_ids)
-        want_order = QT.n // s_image.order
-        qlat = lattice(Q, cap=self.table.n, join_budget=self.join_budget)
-        ident = bits_from_ids([QT.identity_id])
-        count = 0
-        for H in qlat.all_subgroups():
-            if H.order == want_order and H.bits & s_image.bits == ident:
-                count += 1
-        return count
 
     # -- supplements and the associated primitive group ---------------------
 
@@ -655,25 +646,6 @@ class SubgroupLattice:
         return S
 
 
-def _quotient_image_id(T, QT, coset_of, reps, gid: int) -> int:
-    """Element ID in the quotient table of the image of a group element."""
-    images = [int(coset_of[T.mul(r, gid)]) + 1 for r in reps]
-    q = QT.id_of_perm(Permutation(images))
-    if q is None:
-        raise InvariantError("projected element missing from quotient table")
-    return q
-
-
-def _reps_from_coset_map(coset_of: np.ndarray) -> list[int]:
-    k = int(coset_of.max()) + 1
-    reps = [-1] * k
-    for x in range(len(coset_of)):
-        c = int(coset_of[x])
-        if reps[c] < 0:
-            reps[c] = x
-    return reps
-
-
 def _small_generating_ids(T: ElementTable, ids) -> list[int]:
     """A short generating list for the subgroup formed by the given IDs."""
     chain = StabilizerChain(T.degree)
@@ -710,9 +682,15 @@ def lattice(
     cap: int = DEFAULT_ELEMENT_CAP,
     join_budget: int = DEFAULT_JOIN_BUDGET,
 ) -> SubgroupLattice:
-    """The (cached) subgroup lattice helper for a group."""
+    """The (cached) subgroup lattice helper for a group.
+
+    A cached lattice whose worklist has not finished takes this call's join
+    budget, so a run that stopped on an earlier, smaller budget is retried.
+    """
     lat = G._cache.get("lattice")
     if lat is None:
         lat = SubgroupLattice(G, cap=cap, join_budget=join_budget)
         G._cache["lattice"] = lat
+    elif lat._maximal is None:
+        lat.join_budget = join_budget
     return lat

@@ -129,11 +129,6 @@ class Permutation:
         return f"Permutation[{self.degree}] {self.cycle_string()}"
 
 
-def element_order(p: Permutation) -> int:
-    """Multiplicative order: the lcm of the cycle lengths."""
-    return p.order()
-
-
 def parse_cycles(text: str, degree: int) -> Permutation:
     """Parse cycle notation like ``(1 2 3)(4 5)`` into a permutation.
 

@@ -150,7 +150,6 @@ def test_parse_failures_exit_2(capsys):
     assert run(capsys, "sigma", "catalog:Nope(3)")[0] == 2
     assert run(capsys, "sigma", "/nonexistent/file.grp")[0] == 2
     assert run(capsys, "sigma", "catalog:Sym(4)", "--cap", "0")[0] == 2
-    assert run(capsys, "sigma", "catalog:Sym(4)", "--threads", "0")[0] == 2
     assert run(capsys, "table", "--max-sum", "2")[0] == 2
 
 

@@ -9,9 +9,13 @@ import pytest
 from groupcover import (
     BudgetExhaustedError,
     PermGroup,
+    SigmaOptions,
+    center,
     construct,
     generated_subgroup,
     lattice,
+    sigma,
+    tomkinson_sigma,
 )
 from groupcover.lattice import SubgroupLattice
 
@@ -160,9 +164,9 @@ def test_frattini():
 
 
 def test_centre():
-    assert lattice(grp("Dihedral(6)")).centre().order == 2
-    assert lattice(grp("PSL3(2)")).centre().order == 1
-    assert lattice(grp("ElemAbelian(5,2)")).centre().order == 25
+    assert center(grp("Dihedral(6)")).order == 2
+    assert center(grp("PSL3(2)")).order == 1
+    assert center(grp("ElemAbelian(5,2)")).order == 25
 
 
 def test_quotients():
@@ -209,22 +213,24 @@ def test_quotient_map_is_homomorphism():
     assert sorted(kernel) == sorted(int(i) for i in N.ids)
 
 
-def test_chief_series_sym4():
-    lat = lattice(grp("Sym(4)"))
-    records = lat.chief_series()
-    assert sorted(r.factor_order for r in records) == [2, 3, 4]
-    three = [r for r in records if r.factor_order == 3][0]
-    assert three.complement_count == 3
+@pytest.mark.parametrize(
+    "spec, pairs",
+    [
+        ("Sym(4)", [(4, 4), (3, 3), (2, 1)]),
+        ("Dihedral(4)", [(2, 0), (2, 2), (2, 1)]),
+        ("Dihedral(5)", [(5, 5), (2, 1)]),  # the five reflections
+        ("Dihedral(6)", [(2, 2), (3, 3), (2, 1)]),
+        ("AGL1(9)", [(9, 9), (2, 0), (2, 0), (2, 1)]),
+        ("AGL1(16)", [(16, 16), (3, 1), (5, 1)]),
+        ("AffineSemilinear(8,7,3)", [(8, 8), (7, 7), (3, 1)]),
+        ("ElemAbelian(5,2)", [(5, 5), (5, 1)]),
+    ],
+)
+def test_chief_series_complement_counts(spec, pairs):
+    records = lattice(grp(spec)).chief_series()
+    assert [(r.factor_order, r.complement_count) for r in records] == pairs
     for r in records:
         assert r.S.order == r.K.order * r.factor_order
-
-
-def test_chief_series_dihedral5():
-    lat = lattice(grp("Dihedral(5)"))
-    records = lat.chief_series()
-    assert sorted(r.factor_order for r in records) == [2, 5]
-    five = [r for r in records if r.factor_order == 5][0]
-    assert five.complement_count == 5  # the five reflections
 
 
 def test_min_supplement_index():
@@ -257,3 +263,22 @@ def test_join_budget_exhaustion():
     with pytest.raises(BudgetExhaustedError) as err:
         lat.maximal_subgroups()
     assert err.value.budget == 25
+
+
+def _fresh(spec: str) -> PermGroup:
+    base = construct(spec)
+    return PermGroup(list(base.generators), degree=base.degree)
+
+
+def test_exhausted_join_budget_leaves_no_poisoned_lattice():
+    G = _fresh("Sym(5)")
+    with pytest.raises(BudgetExhaustedError):
+        lattice(G, join_budget=25).maximal_subgroups()
+    assert sigma(G, SigmaOptions(join_budget=10**7)).sigma == 16
+    fresh = lattice(_fresh("Sym(5)"))
+    fresh.maximal_subgroups()
+    assert lattice(G).joins_spent == fresh.joins_spent == 143
+    H = _fresh("Sym(4)")
+    with pytest.raises(BudgetExhaustedError):
+        lattice(H, join_budget=1).maximal_subgroups()
+    assert tomkinson_sigma(H).sigma == 4

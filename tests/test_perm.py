@@ -10,7 +10,7 @@ from groupcover.errors import (
     PointOutOfRangeError,
     RepeatedPointError,
 )
-from groupcover.perm import compose, element_order, invert
+from groupcover.perm import compose, invert
 
 from oracles import o_compose, o_inverse, o_order
 
@@ -95,7 +95,7 @@ def test_order():
     assert parse_cycles("(1 2 3 4)", 4).order() == 4
     assert Permutation.identity(3).order() == 1
     p = parse_cycles("(1 2)(3 4 5)(6 7 8 9 10)", 10)
-    assert element_order(p) == 30
+    assert p.order() == 30
 
 
 def test_images_constructor_validation():
