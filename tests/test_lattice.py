@@ -213,6 +213,24 @@ def test_quotient_map_is_homomorphism():
     assert sorted(kernel) == sorted(int(i) for i in N.ids)
 
 
+def test_chief_series_sym4():
+    lat = lattice(grp("Sym(4)"))
+    records = lat.chief_series()
+    assert sorted(r.factor_order for r in records) == [2, 3, 4]
+    three = [r for r in records if r.factor_order == 3][0]
+    assert three.complement_count == 3
+    for r in records:
+        assert r.S.order == r.K.order * r.factor_order
+
+
+def test_chief_series_dihedral5():
+    lat = lattice(grp("Dihedral(5)"))
+    records = lat.chief_series()
+    assert sorted(r.factor_order for r in records) == [2, 5]
+    five = [r for r in records if r.factor_order == 5][0]
+    assert five.complement_count == 5  # the five reflections
+
+
 @pytest.mark.parametrize(
     "spec, pairs",
     [
