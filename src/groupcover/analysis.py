@@ -32,10 +32,12 @@ from .cover import (
     solve_exact,
 )
 from .errors import BudgetExhaustedError, CyclicGroupError, InvariantError
-from .group import DEFAULT_ELEMENT_CAP, PermGroup, StabilizerChain, center
+from .group import DEFAULT_ELEMENT_CAP, PermGroup, center
 from .lattice import (
     DEFAULT_JOIN_BUDGET,
+    _generator_ids,
     _is_abelian_subgroup,
+    _small_generating_ids,
     generated_subgroup,
     lattice,
 )
@@ -185,8 +187,7 @@ def derived_subgroup(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP) -> SubgroupSe
     """The commutator subgroup, as a subgroup set on G's element table."""
     lat = lattice(G, cap=cap)
     T = lat.table
-    gen_ids = _generator_ids(G, T)
-    return _derived_of(T, gen_ids, G.degree)[0]
+    return _derived_of(T, _generator_ids(G, T))
 
 
 def derived_series(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP) -> list[SubgroupSet]:
@@ -195,7 +196,7 @@ def derived_series(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP) -> list[Subgrou
     T = lat.table
     series = [SubgroupSet(T, (1 << T.n) - 1, gen_ids=_generator_ids(G, T))]
     while True:
-        S, kept = _derived_of(T, series[-1].gen_ids, G.degree)
+        S = _derived_of(T, series[-1].gen_ids)
         if S.order == series[-1].order:
             break
         series.append(S)
@@ -208,17 +209,7 @@ def is_solvable(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP) -> bool:
     return derived_series(G, cap=cap)[-1].order == 1
 
 
-def _generator_ids(G: PermGroup, T) -> list[int]:
-    ids = []
-    for g in G.generators:
-        gid = T.id_of_perm(g)
-        if gid is None:
-            raise InvariantError("group generator missing from its own table")
-        ids.append(gid)
-    return ids
-
-
-def _derived_of(T, gen_ids: list[int], degree: int):
+def _derived_of(T, gen_ids: list[int]) -> SubgroupSet:
     """Derived subgroup of ⟨gen_ids⟩: normal closure (inside the subgroup)
     of the commutators of generator pairs."""
     comms = set()
@@ -229,7 +220,7 @@ def _derived_of(T, gen_ids: list[int], degree: int):
             comms.add(T.mul(T.mul(ia, ib), T.mul(a, b)))
     comms.discard(T.identity_id)
     if not comms:
-        return SubgroupSet(T, 1 << T.identity_id, gen_ids=[]), []
+        return SubgroupSet(T, 1 << T.identity_id, gen_ids=[])
     # close the seed set under conjugation by the subgroup's generators
     orbit = sorted(comms)
     seen = set(orbit)
@@ -241,15 +232,7 @@ def _derived_of(T, gen_ids: list[int], degree: int):
             if c not in seen:
                 seen.add(c)
                 queue.append(c)
-    chain = StabilizerChain(degree)
-    kept = []
-    for x in sorted(seen):
-        if chain.add_generator(tuple(int(v) for v in T.rows[x])):
-            kept.append(x)
-    S = generated_subgroup(T, kept)
-    if S.order != chain.order():
-        raise InvariantError("derived-subgroup closure mismatch")
-    return S, kept
+    return generated_subgroup(T, _small_generating_ids(T, sorted(seen)))
 
 
 def has_klein_quotient(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP) -> bool:
@@ -378,7 +361,7 @@ def structural_audit(G: PermGroup, opts: SigmaOptions | None = None) -> dict:
     opts = opts or SigmaOptions()
     lat = lattice(G, cap=opts.cap, join_budget=opts.join_budget)
     phi = lat.frattini()
-    z = center(G)
+    z = center(G, cap=opts.cap)
     abelian_minimals = [
         N
         for N in lat.minimal_normal_subgroups()

@@ -137,10 +137,8 @@ class StabilizerChain:
 class ElementTable:
     """All elements of a group, indexed by lexicographic rank of image tables."""
 
-    def __init__(self, group: "PermGroup", cap: int = DEFAULT_ELEMENT_CAP):
+    def __init__(self, group: "PermGroup"):
         order = group.order()
-        if order > cap:
-            raise CapExceededError(order, cap)
         self.group = group
         self.degree = group.degree
         self.n = order
@@ -340,8 +338,13 @@ class PermGroup:
         return exponent == self.order()
 
     def table(self, cap: int = DEFAULT_ELEMENT_CAP) -> ElementTable:
+        """The element table; raises CapExceededError when |G| > cap, even
+        when an earlier call with a larger cap has already built it."""
+        order = self.order()
+        if order > cap:
+            raise CapExceededError(order, cap)
         if self._table is None:
-            self._table = ElementTable(self, cap)
+            self._table = ElementTable(self)
         return self._table
 
     def label(self) -> str:
@@ -356,9 +359,9 @@ def enumerate_elements(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP) -> ElementT
     return G.table(cap)
 
 
-def center(G: PermGroup) -> SubgroupSet:
+def center(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP) -> SubgroupSet:
     """Elements commuting with every generator, as a subgroup bit vector."""
-    table = G.table()
+    table = G.table(cap)
     mask = np.ones(table.n, dtype=bool)
     all_ids = np.arange(table.n, dtype=np.int32)
     for conj in table.conj_by_gen():

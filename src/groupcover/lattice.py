@@ -11,8 +11,9 @@ maximal).  Processing one representative per conjugacy class is sound
 because joins of conjugates are conjugates of joins; whole conjugate orbits
 are pushed in one step.
 
-The same worklist discovers every subgroup of the ambient group, which the
-chief-series, complement, and supplement computations then reuse.
+The same worklist discovers every subgroup of the ambient group, with its
+normality, which the normal-subgroup, chief-series, complement, and
+supplement computations then reuse.
 """
 
 from __future__ import annotations
@@ -121,8 +122,6 @@ class SubgroupLattice:
         self._cyclic: list[SubgroupSet] | None = None
         self._elem_to_cyclic: np.ndarray | None = None
         self._maximal_cyclic: list[SubgroupSet] | None = None
-        self._class_of: np.ndarray | None = None
-        self._class_reps: list[int] | None = None
         self._maximal: list[SubgroupSet] | None = None
         self._all_subgroups: dict[bytes, SubgroupSet] | None = None
         self._normals: list[SubgroupSet] | None = None
@@ -184,31 +183,6 @@ class SubgroupLattice:
         return self._maximal_cyclic
 
     # -- conjugacy ----------------------------------------------------------
-
-    def element_classes(self) -> tuple[np.ndarray, list[int]]:
-        """(class index per element ID, representative ID per class)."""
-        if self._class_of is None:
-            T = self.table
-            tables = T.conj_by_gen()
-            class_of = np.full(T.n, -1, dtype=np.int64)
-            reps: list[int] = []
-            for e in range(T.n):
-                if class_of[e] >= 0:
-                    continue
-                cls = len(reps)
-                reps.append(e)
-                stack = [e]
-                class_of[e] = cls
-                while stack:
-                    x = stack.pop()
-                    for ct in tables:
-                        y = int(ct[x])
-                        if class_of[y] < 0:
-                            class_of[y] = cls
-                            stack.append(y)
-            self._class_of = class_of
-            self._class_reps = reps
-        return self._class_of, self._class_reps
 
     def conjugates(self, S: SubgroupSet) -> list[SubgroupSet]:
         """The full conjugacy orbit of a subgroup, sorted by key."""
@@ -402,53 +376,20 @@ class SubgroupLattice:
 
     # -- normal structure ---------------------------------------------------
 
-    def normal_closure(self, seed_ids) -> SubgroupSet:
-        """Smallest normal subgroup containing the given elements."""
-        T = self.table
-        tables = T.conj_by_gen()
-        orbit: set[int] = set()
-        stack = [int(i) for i in seed_ids]
-        orbit.update(stack)
-        while stack:
-            x = stack.pop()
-            for ct in tables:
-                y = int(ct[x])
-                if y not in orbit:
-                    orbit.add(y)
-                    stack.append(y)
-        chain = StabilizerChain(T.degree)
-        kept: list[int] = []
-        for g in sorted(orbit):
-            if chain.add_generator(_row_tuple(T, g)):
-                kept.append(g)
-        S = _subgroup_from_chain(T, chain, kept)
-        S.is_normal = True
-        return S
-
     def normal_subgroups(self) -> list[SubgroupSet]:
-        """All normal subgroups: join-closure of single-element normal closures."""
+        """All normal subgroups, G included, sorted by key.
+
+        The worklist records every proper subgroup with its whole conjugacy
+        orbit, so this only keeps the ones flagged normal and adds G.
+        """
         if self._normals is None:
             T = self.table
-            _, reps = self.element_classes()
-            base: dict[bytes, SubgroupSet] = {}
-            for r in reps:
-                S = self.normal_closure([r])
-                base.setdefault(S.key, S)
-            closed = dict(base)
-            frontier = list(base.values())
-            while frontier:
-                fresh: list[SubgroupSet] = []
-                for A in frontier:
-                    for B in list(closed.values()):
-                        if A.bits | B.bits in (A.bits, B.bits):
-                            continue
-                        J = generated_subgroup(T, list(A.gen_ids) + list(B.gen_ids))
-                        J.is_normal = True
-                        if J.key not in closed:
-                            closed[J.key] = J
-                            fresh.append(J)
-                frontier = fresh
-            self._normals = sorted(closed.values(), key=lambda s: s.key)
+            whole = SubgroupSet(
+                T, (1 << T.n) - 1, gen_ids=_generator_ids(self.group, T)
+            )
+            whole.is_normal = True
+            normals = [S for S in self.all_subgroups() if S.is_normal]
+            self._normals = sorted(normals + [whole], key=lambda s: s.key)
         return self._normals
 
     def minimal_normal_subgroups(self) -> list[SubgroupSet]:
@@ -546,25 +487,25 @@ class SubgroupLattice:
                         S=S,
                         K=current,
                         factor_order=S.order // current.order,
-                        complement_count=self._complement_count(S, current),
+                        complement_count=len(self.complements(S, current)),
                     )
                 )
                 current = S
             self._chief = records
         return self._chief
 
-    def _complement_count(self, S: SubgroupSet, K: SubgroupSet) -> int:
-        """Number of H ≤ G with HS = G and H ∩ S = K.
+    def complements(self, S: SubgroupSet, K: SubgroupSet) -> list[SubgroupSet]:
+        """The subgroups H ≤ G with HS = G and H ∩ S = K, sorted by key.
 
         Such an H has order |G||K|/|S|, and conversely a subgroup of that
-        order meeting S in K has |HS| = |G|, so the count reads straight off
-        the worklist's list of all subgroups.
+        order meeting S in K has |HS| = |G|, so they read straight off the
+        worklist's list of all subgroups.
         """
         want = self.table.n * K.order // S.order
-        return sum(
-            1 for H in self.all_subgroups()
+        return [
+            H for H in self.all_subgroups()
             if H.order == want and H.bits & S.bits == K.bits
-        )
+        ]
 
     # -- supplements and the associated primitive group ---------------------
 
@@ -596,17 +537,13 @@ class SubgroupLattice:
         T = self.table
         n_gens = [int(g) for g in N.gen_ids]
         if _is_abelian_subgroup(T, n_gens):
-            comp = None
-            ident = bits_from_ids([T.identity_id])
-            want = T.n // N.order
-            for H in self.all_subgroups():
-                if H.order == want and H.bits & N.bits == ident:
-                    comp = H
-                    break
-            if comp is None:
+            trivial = SubgroupSet(T, bits_from_ids([T.identity_id]))
+            comps = self.complements(N, trivial)
+            if not comps:
                 raise NoComplementError(
                     "abelian minimal normal subgroup has no complement"
                 )
+            comp = comps[0]
             points = [int(i) for i in N.ids]
             pos = {e: i + 1 for i, e in enumerate(points)}
             gens = []
@@ -644,6 +581,17 @@ class SubgroupLattice:
         S = SubgroupSet(T, bits_from_ids(ids))
         S.gen_ids = _small_generating_ids(T, ids)
         return S
+
+
+def _generator_ids(G: PermGroup, T: ElementTable) -> list[int]:
+    """Table IDs of G's own generators."""
+    ids = []
+    for g in G.generators:
+        gid = T.id_of_perm(g)
+        if gid is None:
+            raise InvariantError("group generator missing from its own table")
+        ids.append(gid)
+    return ids
 
 
 def _small_generating_ids(T: ElementTable, ids) -> list[int]:
@@ -686,7 +634,9 @@ def lattice(
 
     A cached lattice whose worklist has not finished takes this call's join
     budget, so a run that stopped on an earlier, smaller budget is retried.
+    The element cap is checked on every call, cached lattice or not.
     """
+    G.table(cap)
     lat = G._cache.get("lattice")
     if lat is None:
         lat = SubgroupLattice(G, cap=cap, join_budget=join_budget)

@@ -162,6 +162,18 @@ def test_cap_enforced():
     assert err.value.order == 20160 and err.value.cap == 20000
     with pytest.raises(CapExceededError):
         enumerate_elements(grp("Sym(8)"))
+    # a table, lattice or σ already built under the default cap does not
+    # let a later call with a smaller cap through
+    from groupcover import SigmaOptions, lattice, sigma
+
+    A5 = grp("Alt(5)")
+    lattice(A5).maximal_subgroups()
+    with pytest.raises(CapExceededError):
+        lattice(A5, cap=10)
+    with pytest.raises(CapExceededError):
+        A5.table(10)
+    with pytest.raises(CapExceededError):
+        sigma(A5, SigmaOptions(cap=10))
 
 
 def test_center():

@@ -120,7 +120,18 @@ def test_lattice_completeness_against_brute_force_upto_500():
 
 
 def test_normal_subgroups_against_brute_force():
-    for spec in ["Sym(4)", "Dihedral(6)", "AGL1(7)", "Frobenius(13,6)", "Alt(5)"]:
+    for spec in [
+        "Sym(4)",
+        "Dihedral(6)",
+        "AGL1(7)",
+        "Frobenius(13,6)",
+        "Alt(5)",
+        "ElemAbelian(5,2)",
+        "Dihedral(4)",
+        "Cyclic(6)",
+        "Cyclic(5)",
+        "Cyclic(1)",
+    ]:
         lat = lattice(grp(spec))
         bg = brute_of(spec)
         brute_normals = {
