@@ -25,7 +25,7 @@ from .errors import BudgetExhaustedError, CyclicGroupError, InvariantError
 from .group import DEFAULT_ELEMENT_CAP, PermGroup
 from .lattice import DEFAULT_JOIN_BUDGET, SubgroupLattice, generated_subgroup, lattice
 from .perm import parse_cycles
-from .subgroup import SubgroupSet
+from .subgroup import SubgroupSet, bits_from_ids
 
 DEFAULT_NODE_BUDGET = 10**8
 
@@ -117,13 +117,13 @@ class CoverInstance:
         self.cols: list[SubgroupSet] = sorted(
             lat.maximal_subgroups(), key=lambda s: (s.digest, s.key)
         )
-        R, C = len(self.rows), len(self.cols)
-        inc = np.zeros((R, C), dtype=bool)
-        for j, M in enumerate(self.cols):
-            mb = M.bits
-            for i, r in enumerate(self.rows):
-                if r.bits & mb == r.bits:
-                    inc[i, j] = True
+        # a cyclic subgroup lies in M exactly when its generator does:
+        # inc[i, j] is bit g_i of column j's key, g_i row i's generator
+        gens = np.array([r.gen_ids[0] for r in self.rows], dtype=np.intp)
+        keys = np.frombuffer(b"".join(M.key for M in self.cols), dtype=np.uint8)
+        member = keys.reshape(len(self.cols), -1)[:, gens >> 3]
+        member >>= (gens & 7).astype(np.uint8)
+        inc = np.ascontiguousarray((member & 1).T, dtype=bool)
         if not inc.any(axis=1).all():
             raise InvariantError(
                 "some maximal cyclic subgroup lies in no maximal subgroup"
@@ -139,10 +139,7 @@ class CoverInstance:
         for k in sorted(set(int(o) for o in orders)):
             if k == 1:
                 continue
-            ids = np.nonzero(orders == k)[0]
-            bits = 0
-            for i in ids:
-                bits |= 1 << int(i)
+            bits = bits_from_ids(np.nonzero(orders == k)[0])
             self.order_bits[k] = bits
             self.order_counts[k] = np.array(
                 [(bits & mb).bit_count() for mb in self.col_elem_bits],

@@ -23,7 +23,10 @@ DEFAULT_ELEMENT_CAP = 20000
 
 
 class _Level:
-    __slots__ = ("point", "gens", "transversal", "inv", "orbit", "_done")
+    """One level of the chain.  ``closed`` = (m, g): every Schreier generator
+    from the first m orbit points and the first g generators has been sifted."""
+
+    __slots__ = ("point", "gens", "transversal", "inv", "orbit", "closed")
 
     def __init__(self, point: int):
         self.point = point
@@ -31,7 +34,7 @@ class _Level:
         self.transversal: dict[int, tuple[int, ...]] = {}
         self.inv: dict[int, tuple[int, ...]] = {}
         self.orbit: list[int] = []
-        self._done: set[tuple[int, int]] = set()
+        self.closed = (0, 0)
 
     def copy(self) -> "_Level":
         lvl = _Level(self.point)
@@ -39,8 +42,12 @@ class _Level:
         lvl.transversal = dict(self.transversal)
         lvl.inv = dict(self.inv)
         lvl.orbit = list(self.orbit)
-        lvl._done = set(self._done)
+        lvl.closed = self.closed
         return lvl
+
+
+class _OrderPassed(Exception):
+    """Raised inside Schreier-Sims once a chain's order passes its limit."""
 
 
 class StabilizerChain:
@@ -48,7 +55,9 @@ class StabilizerChain:
 
     def __init__(self, degree: int):
         self.degree = degree
+        self.identity = tuple(range(degree))
         self.levels: list[_Level] = []
+        self._limit: int | None = None
 
     @classmethod
     def build(cls, gens: list[tuple[int, ...]], degree: int) -> "StabilizerChain":
@@ -60,6 +69,22 @@ class StabilizerChain:
     def copy(self) -> "StabilizerChain":
         chain = StabilizerChain(self.degree)
         chain.levels = [lvl.copy() for lvl in self.levels]
+        return chain
+
+    def extended(self, z: tuple[int, ...], limit: int) -> "StabilizerChain | None":
+        """A copy of this chain with z added, or None once its order passes limit.
+
+        Base points are only ever appended and basic orbits only grow, so at
+        every step of Schreier-Sims the product of the orbit lengths is a
+        lower bound on the order of the group being built.
+        """
+        chain = self.copy()
+        chain._limit = limit
+        try:
+            chain.add_generator(z)
+        except _OrderPassed:
+            return None
+        chain._limit = None
         return chain
 
     def order(self) -> int:
@@ -87,7 +112,7 @@ class StabilizerChain:
         return residue
 
     def contains(self, z: tuple[int, ...]) -> bool:
-        return all(x == i for i, x in enumerate(self.sift(z)))
+        return self.sift(z) == self.identity
 
     def add_generator(self, z: tuple[int, ...], level: int = 0) -> bool:
         """Install z as a generator at the given level unless redundant.
@@ -98,13 +123,13 @@ class StabilizerChain:
         consequences to deeper levels.
         """
         residue, _ = self._sift_from(z, level)
-        if all(x == j for j, x in enumerate(residue)):
+        if residue == self.identity:
             return False
         if level == len(self.levels):
             point = min(j for j, x in enumerate(z) if x != j)
             lvl = _Level(point)
-            lvl.transversal[point] = tuple(range(self.degree))
-            lvl.inv[point] = tuple(range(self.degree))
+            lvl.transversal[point] = self.identity
+            lvl.inv[point] = self.identity
             lvl.orbit.append(point)
             self.levels.append(lvl)
         self.levels[level].gens.append(z)
@@ -112,30 +137,45 @@ class StabilizerChain:
         return True
 
     def _close(self, i: int) -> None:
-        """Re-establish the Schreier closure at level i (and below, recursively)."""
+        """Re-establish the Schreier closure at level i (and below, recursively).
+
+        Level i's generators do not change while it closes, and a close runs
+        to the end, so the pairs already done are those under ``closed``.
+        """
         lvl = self.levels[i]
+        orbit, gens, transversal, inv = lvl.orbit, lvl.gens, lvl.transversal, lvl.inv
+        m, g_done = lvl.closed
         k = 0
-        while k < len(lvl.orbit):
-            beta = lvl.orbit[k]
-            for gi, g in enumerate(lvl.gens):
-                if (beta, gi) in lvl._done:
-                    continue
-                lvl._done.add((beta, gi))
-                u = lvl.transversal[beta]
+        while k < len(orbit):
+            beta = orbit[k]
+            u = transversal[beta]
+            for g in gens[g_done:] if k < m else gens:
                 gamma = g[beta]
                 ug = compose(u, g)
-                if gamma not in lvl.transversal:
-                    lvl.transversal[gamma] = ug
-                    lvl.inv[gamma] = invert(ug)
-                    lvl.orbit.append(gamma)
-                schreier = compose(ug, lvl.inv[gamma])
-                if not all(x == j for j, x in enumerate(schreier)):
+                if gamma not in transversal:
+                    transversal[gamma] = ug
+                    inv[gamma] = invert(ug)
+                    orbit.append(gamma)
+                    if self._limit is not None and self.order() > self._limit:
+                        raise _OrderPassed
+                    # ug is now gamma's transversal element: the Schreier
+                    # generator ug * ug^-1 is trivial
+                    continue
+                schreier = compose(ug, inv[gamma])
+                if schreier != self.identity:
                     self.add_generator(schreier, i + 1)
             k += 1
+        lvl.closed = (len(orbit), len(gens))
 
 
 class ElementTable:
-    """All elements of a group, indexed by lexicographic rank of image tables."""
+    """All elements of a group, indexed by lexicographic rank of image tables.
+
+    Rows map to IDs through their sift coordinates: stripping a row through
+    G's own stabilizer chain gives one basic-orbit position per level, and
+    read as a mixed-radix number those positions are a bijection from G onto
+    [0, |G|), which indexes a dense slot array.
+    """
 
     def __init__(self, group: "PermGroup"):
         order = group.order()
@@ -153,22 +193,44 @@ class ElementTable:
         self.identity_id = self.id_of[
             np.arange(self.degree, dtype=rows.dtype).tobytes()
         ]
+        self._sift_base, self._sift_levels = _sift_index(group.chain, rows.dtype)
+        self._slot = np.full(order, -1, dtype=np.int32)
+        self._slot[self._sift_keys(rows)] = np.arange(order, dtype=np.int32)
+        if (self._slot < 0).any():
+            raise AssertionError("sift keys of the element rows collide")
         self.orders = _element_orders(rows)
         self.inverse = self.lookup_rows(np.argsort(rows, axis=1).astype(rows.dtype))
         self._conj_by_gen: list[np.ndarray] | None = None
 
+    def _sift_keys(self, mat: np.ndarray) -> np.ndarray:
+        """Mixed-radix sift coordinates of each row, level 0 most significant.
+
+        Only the images of the base points are stripped; raises KeyError when
+        one of them leaves its basic orbit.
+        """
+        images = mat[:, self._sift_base]
+        keys = np.zeros(mat.shape[0], dtype=np.intp)
+        for pos, inv_rows, stride in self._sift_levels:
+            p = pos[images[:, 0]]
+            if (p < 0).any():
+                raise KeyError("row outside the group")
+            keys += p * stride
+            # strip u^-1: every later base image b becomes u^-1(b)
+            images = inv_rows[p[:, None], images[:, 1:]]
+        return keys
+
     def lookup_rows(self, mat: np.ndarray) -> np.ndarray:
-        """Map a matrix of image rows to element IDs."""
+        """Map a matrix of image rows to element IDs; KeyError if one is not in G.
+
+        A row whose sift residue is not the identity has the sift key of a
+        different element, so the found row is compared with the given one.
+        """
         if mat.dtype != self.rows.dtype:
             mat = mat.astype(self.rows.dtype)
-        step = self.degree * self.rows.dtype.itemsize
-        buf = np.ascontiguousarray(mat).tobytes()
-        get = self.id_of.__getitem__
-        return np.fromiter(
-            (get(buf[i : i + step]) for i in range(0, len(buf), step)),
-            dtype=np.int32,
-            count=mat.shape[0],
-        )
+        ids = self._slot[self._sift_keys(mat)]
+        if not (self.rows[ids] == mat).all():
+            raise KeyError("row outside the group")
+        return ids
 
     def id_of_row(self, row: np.ndarray) -> int | None:
         return self.id_of.get(np.ascontiguousarray(row, dtype=self.rows.dtype).tobytes())
@@ -226,6 +288,22 @@ class ElementTable:
         return self.id_of.get(
             np.array(p.zero, dtype=self.rows.dtype).tobytes()
         )
+
+
+def _sift_index(chain: StabilizerChain, dtype):
+    """Base points and, per level, (orbit position of each point or -1,
+    inverse transversal rows in orbit order, mixed-radix stride)."""
+    levels = []
+    stride = 1
+    for lvl in reversed(chain.levels):
+        pos = np.full(chain.degree, -1, dtype=np.intp)
+        pos[lvl.orbit] = np.arange(len(lvl.orbit))
+        inv_rows = np.array([lvl.inv[b] for b in lvl.orbit], dtype=dtype)
+        levels.append((pos, inv_rows, stride))
+        stride *= len(lvl.orbit)
+    levels.reverse()
+    base = np.array(chain.base(), dtype=np.intp)
+    return base, levels
 
 
 def _closure_rows(gens0: list[tuple[int, ...]], degree: int, order: int) -> np.ndarray:

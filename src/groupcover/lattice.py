@@ -79,8 +79,9 @@ def _chain_element_rows(chain: StabilizerChain, table: ElementTable) -> np.ndarr
 def _subgroup_from_chain(
     table: ElementTable, chain: StabilizerChain, gen_ids: list[int]
 ) -> SubgroupSet:
-    ids = table.lookup_rows(_chain_element_rows(chain, table))
-    S = SubgroupSet(table, bits_from_ids(ids), gen_ids=gen_ids)
+    mask = np.zeros(table.n, dtype=bool)
+    mask[table.lookup_rows(_chain_element_rows(chain, table))] = True
+    S = SubgroupSet.from_mask(table, mask, gen_ids=gen_ids)
     if S.order != chain.order():
         raise InvariantError("materialized subgroup order disagrees with its chain")
     return S
@@ -120,6 +121,7 @@ class SubgroupLattice:
         self.join_budget = join_budget
         self.joins_spent = 0
         self._cyclic: list[SubgroupSet] | None = None
+        self._cyclic_gen: np.ndarray | None = None
         self._elem_to_cyclic: np.ndarray | None = None
         self._maximal_cyclic: list[SubgroupSet] | None = None
         self._maximal: list[SubgroupSet] | None = None
@@ -143,7 +145,7 @@ class SubgroupLattice:
     def _build_cyclic(self) -> None:
         T = self.table
         n = T.n
-        elem_to = np.full(n, -1, dtype=np.int64)
+        elem_to = np.full(n, -1, dtype=np.int32)
         raw: list[tuple[SubgroupSet, list[int]]] = []
         for e in range(n):
             if elem_to[e] >= 0:
@@ -164,7 +166,10 @@ class SubgroupLattice:
         order = sorted(range(len(raw)), key=lambda i: raw[i][0].key)
         rank = {old: new for new, old in enumerate(order)}
         self._cyclic = [raw[i][0] for i in order]
-        remap = np.array([rank[int(v)] for v in elem_to], dtype=np.int64)
+        self._cyclic_gen = np.array(
+            [S.gen_ids[0] for S in self._cyclic], dtype=np.int32
+        )
+        remap = np.array([rank[int(v)] for v in elem_to], dtype=np.int32)
         self._elem_to_cyclic = remap
 
     def maximal_cyclic_subgroups(self) -> list[SubgroupSet]:
@@ -194,17 +199,16 @@ class SubgroupLattice:
             nxt = []
             for H in frontier:
                 for ct in tables:
-                    ids = ct[H.ids]
-                    bits = bits_from_ids(ids)
-                    C = SubgroupSet(
-                        T,
-                        bits,
-                        gen_ids=[int(ct[g]) for g in H.gen_ids],
+                    mask = np.zeros(T.n, dtype=bool)
+                    mask[ct[H.ids]] = True
+                    if np.packbits(mask, bitorder="little").tobytes() in seen:
+                        continue
+                    C = SubgroupSet.from_mask(
+                        T, mask, gen_ids=[int(ct[g]) for g in H.gen_ids]
                     )
-                    if C.key not in seen:
-                        C.is_cyclic = H.is_cyclic
-                        seen[C.key] = C
-                        nxt.append(C)
+                    C.is_cyclic = H.is_cyclic
+                    seen[C.key] = C
+                    nxt.append(C)
             frontier = nxt
         return sorted(seen.values(), key=lambda x: x.key)
 
@@ -255,7 +259,7 @@ class SubgroupLattice:
         cyclics = self.cyclic_subgroups()
         cyc_key = {S.key for S in cyclics}
         queue: list[tuple[int, bytes]] = []
-        queued: set[bytes] = set()
+        orbits: dict[bytes, list[SubgroupSet]] = {}
 
         def push_class(S: SubgroupSet) -> None:
             """Record S's whole conjugacy orbit; enqueue its representative."""
@@ -269,9 +273,8 @@ class SubgroupLattice:
                     C.is_cyclic = C.key in cyc_key
                 discovered[C.key] = C
             rep = orbit[0]
-            if rep.key not in queued:
-                queued.add(rep.key)
-                heapq.heappush(queue, (rep.order, rep.key))
+            orbits[rep.key] = orbit
+            heapq.heappush(queue, (rep.order, rep.key))
 
         for S in cyclics:
             if not S.is_trivial_subgroup() and not S.is_whole_group():
@@ -279,8 +282,7 @@ class SubgroupLattice:
 
         while queue:
             _, key = heapq.heappop(queue)
-            rep = discovered[key]
-            self._process_class(rep, discovered, push_class, maximal)
+            self._process_class(orbits.pop(key), push_class, maximal)
 
         if not maximal and n > 1:
             # No proper non-trivial subgroup at all: |G| is prime and the
@@ -291,31 +293,32 @@ class SubgroupLattice:
         self._all_subgroups = discovered
         self._maximal = sorted(maximal, key=lambda s: s.key)
 
-    def _process_class(self, H, discovered, push_class, maximal) -> None:
+    def _process_class(self, orbit, push_class, maximal) -> None:
+        """Join the class representative orbit[0] with its targets; flag the
+        whole orbit maximal when every join is G."""
         T = self.table
-        n = T.n
+        H = orbit[0]
         chain_H = _chain_of_ids(T, H.gen_ids)
-        index = n // H.order
-        targets = self._targets_for(H, index)
         all_join_full = True
-        for x in targets:
-            self._spend_join()
-            c2 = chain_H.copy()
-            c2.add_generator(_row_tuple(T, x))
-            if c2.order() == n:
+        for x in self._targets_for(H, T.n // H.order):
+            c2 = self._join(chain_H, x)
+            if c2 is None:
                 continue
             all_join_full = False
-            J = _subgroup_from_chain(T, c2, H.gen_ids + [x])
-            push_class(J)
-        H.is_maximal = all_join_full
+            push_class(_subgroup_from_chain(T, c2, H.gen_ids + [x]))
+        for M in orbit:
+            M.is_maximal = all_join_full
         if all_join_full:
-            for C in self.conjugates(H):
-                M = discovered[C.key]
-                M.is_maximal = True
-                maximal.append(M)
-        else:
-            for C in self.conjugates(H):
-                discovered[C.key].is_maximal = False
+            maximal.extend(orbit)
+
+    def _join(self, chain: StabilizerChain, x: int) -> StabilizerChain | None:
+        """The chain of ⟨chain, x⟩, or None when that join is G.
+
+        Schreier-Sims stops once the partial order passes |G|/2: a subgroup
+        order above half of |G| that divides |G| is |G| itself.
+        """
+        self._spend_join()
+        return chain.extended(_row_tuple(self.table, x), self.table.n // 2)
 
     def _targets_for(self, H: SubgroupSet, index: int) -> list[int]:
         """Element IDs x whose joins ⟨H, x⟩ witness H's maximality status.
@@ -323,56 +326,35 @@ class SubgroupLattice:
         Either one generator per cyclic subgroup not inside H, or one
         representative per non-trivial coset of H — whichever set is smaller —
         deduplicated under conjugation by H (valid because discovered joins
-        are pushed as whole conjugacy orbits).
+        are pushed as whole conjugacy orbits).  Each H-orbit is represented
+        by its least member: the cyclic subgroup first in key order, or the
+        least element of the double coset HxH.  Targets come in ascending order.
         """
         T = self.table
-        cyclics = self.cyclic_subgroups()
-        outside = [C for C in cyclics if C.bits & H.bits != C.bits]
-        if len(outside) <= index - 1:
-            seen: set[bytes] = set()
-            targets = []
-            for C in outside:
-                if C.key in seen:
-                    continue
-                targets.append(C.gen_ids[0])
-                stack = [C]
-                seen.add(C.key)
-                while stack:
-                    D = stack.pop()
-                    for h in H.gen_ids:
-                        ids = T.conj_rows(D.ids, h)
-                        bits = bits_from_ids(ids)
-                        E = SubgroupSet(T, bits)
-                        if E.key not in seen:
-                            seen.add(E.key)
-                            stack.append(E)
-            return targets
+        self.cyclic_subgroups()
+        in_h = np.zeros(T.n, dtype=bool)
+        in_h[H.ids] = True
+        gens = self._cyclic_gen
+        outside = ~in_h[gens]
+        if np.count_nonzero(outside) <= index - 1:
+            # conjugating a generator of C by h gives a generator of C^h
+            label = _orbit_minima(
+                [self._elem_to_cyclic[T.conj_rows(gens, h)] for h in H.gen_ids],
+                len(gens),
+            )
+            first = outside & (label == np.arange(len(gens)))
+            return [int(g) for g in gens[first]]
 
-        h_ids = H.ids
-        in_seen = np.zeros(T.n, dtype=bool)
-        in_seen[h_ids] = True
-        targets = []
-        handled: set[int] = set()
-        for x in range(T.n):
-            if in_seen[x]:
-                continue
-            coset = T.mul_many(h_ids, x)
-            in_seen[coset] = True
-            m = int(coset.min())
-            if m in handled:
-                continue
-            targets.append(m)
-            stack = [m]
-            handled.add(m)
-            while stack:
-                y = stack.pop()
-                for h in H.gen_ids:
-                    z = T.conj(y, h)
-                    zm = int(T.mul_many(h_ids, z).min())
-                    if zm not in handled:
-                        handled.add(zm)
-                        stack.append(zm)
-        return targets
+        # label every element by the least element of its right coset Hx
+        all_ids = np.arange(T.n, dtype=np.int32)
+        coset_min = _orbit_minima([T.lmul_many(h, all_ids) for h in H.gen_ids], T.n)
+        reps = np.nonzero((coset_min == all_ids) & ~in_h)[0].astype(np.int32)
+        # conjugation by h maps the coset Hy to Hyh
+        label = _orbit_minima(
+            [np.searchsorted(reps, coset_min[T.conj_rows(reps, h)]) for h in H.gen_ids],
+            len(reps),
+        )
+        return [int(x) for x in reps[label == np.arange(len(reps))]]
 
     # -- normal structure ---------------------------------------------------
 
@@ -581,6 +563,24 @@ class SubgroupLattice:
         S = SubgroupSet(T, bits_from_ids(ids))
         S.gen_ids = _small_generating_ids(T, ids)
         return S
+
+
+def _orbit_minima(perms: list[np.ndarray], size: int) -> np.ndarray:
+    """For each of 0..size-1, the least point of its orbit under the perms.
+
+    Every label stays a point of the same orbit and never grows; at the fixed
+    point of "take the successor's label, then the label's label", labels
+    are constant along every cycle of every permutation, so on every orbit.
+    """
+    label = np.arange(size, dtype=np.int32)
+    while True:
+        new = label
+        for p in perms:
+            new = np.minimum(new, new[p])
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
 
 
 def _generator_ids(G: PermGroup, T: ElementTable) -> list[int]:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import re
 from math import lcm
+from operator import itemgetter
 
 from .errors import CycleSyntaxError, PointOutOfRangeError, RepeatedPointError
 
@@ -16,6 +17,8 @@ _TOKEN = re.compile(r"\(|\)|,|\s+|\d+|\S")
 
 def compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """Apply a first, then b (0-based image tuples)."""
+    if len(a) > 1:  # with one index, itemgetter returns an item, not a tuple
+        return itemgetter(*a)(b)
     return tuple(b[x] for x in a)
 
 

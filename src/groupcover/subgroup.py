@@ -68,6 +68,18 @@ class SubgroupSet:
     def from_ids(cls, table, ids, gen_ids: list[int] | None = None) -> "SubgroupSet":
         return cls(table, bits_from_ids(ids), gen_ids=gen_ids)
 
+    @classmethod
+    def from_mask(
+        cls, table, mask: np.ndarray, gen_ids: list[int] | None = None
+    ) -> "SubgroupSet":
+        """From a boolean membership array of length table.n, whose packed
+        bytes are the key already."""
+        key = np.packbits(mask, bitorder="little").tobytes()
+        S = cls(table, int.from_bytes(key, "little"), gen_ids=gen_ids)
+        S._key = key
+        S._ids = np.flatnonzero(mask).astype(np.int32)
+        return S
+
     @property
     def order(self) -> int:
         if self._order is None:

@@ -8,6 +8,7 @@ import pytest
 from groupcover import (
     CapExceededError,
     PermGroup,
+    Permutation,
     center,
     conjugate_subgroup,
     construct,
@@ -143,6 +144,70 @@ def test_lookup_rows_round_trip_small_and_wide_degree():
     assert TQ.rows.dtype == np.int16 or TQ.degree <= 120
     some = np.array([0, 1, TQ.n - 1], dtype=np.int32)
     assert list(TQ.lookup_rows(TQ.rows[some])) == list(some)
+
+
+def _asl32_quotient_table():
+    """The int16 table of ASL3(2) modulo its translations (168 points)."""
+    from groupcover import lattice
+
+    lat = lattice(grp("ASL3(2)"))
+    (soc,) = [N for N in lat.normal_subgroups() if N.order == 8]
+    TQ = lat.quotient(soc).table()
+    assert TQ.rows.dtype == np.int16 and TQ.degree == 168
+    return TQ
+
+
+def _outside_rows(T):
+    """Rows that are not elements of T's group."""
+    d = T.degree
+    swap = np.arange(d, dtype=T.rows.dtype)
+    swap[[0, 1]] = [1, 0]
+    out = [swap]  # a transposition, in none of the groups tested
+    if d == 6:  # Sym(6) holds every permutation of its points
+        out = [
+            np.array([0, 1, 2, 3, 4, 4], dtype=T.rows.dtype),  # residue not 1
+            np.array([1, 1, 2, 3, 4, 5], dtype=T.rows.dtype),  # leaves an orbit
+        ]
+    return out
+
+
+@pytest.mark.parametrize("which", ["Alt(5)", "Sym(6)", "ASL3(2)/2^3"])
+def test_lookup_rows_rejects_rows_outside_the_group(which):
+    T = _asl32_quotient_table() if which == "ASL3(2)/2^3" else grp(which).table()
+    inside = T.rows[[0, T.n - 1]]
+    for row in _outside_rows(T):
+        with pytest.raises(KeyError):
+            T.lookup_rows(row[None, :])
+        with pytest.raises(KeyError):
+            T.lookup_rows(np.vstack([inside, row[None, :]]))
+        assert T.id_of_row(row) is None
+        if len(set(row.tolist())) == T.degree:
+            p = Permutation._from_zero(tuple(int(x) for x in row))
+            assert T.id_of_perm(p) is None
+    assert list(T.lookup_rows(inside)) == [0, T.n - 1]
+
+
+@pytest.mark.parametrize("which", ["Sym(6)", "ASL3(2)/2^3"])
+def test_lookup_rows_round_trips_every_id(which):
+    T = _asl32_quotient_table() if which == "ASL3(2)/2^3" else grp(which).table()
+    ids = np.arange(T.n, dtype=np.int32)
+    assert (T.lookup_rows(T.rows) == ids).all()
+    shuffled = np.random.default_rng(0).permutation(ids).astype(np.int32)
+    assert (T.lookup_rows(T.rows[shuffled]) == shuffled).all()
+    assert all(T.id_of_row(T.rows[i]) == i for i in range(0, T.n, 7))
+
+
+def test_extended_chain_stops_above_its_limit():
+    chain = StabilizerChain.build([parse_cycles("(1 2 3)", 4).zero], 4)
+    four_cycle = parse_cycles("(1 2 3 4)", 4).zero
+    assert chain.extended(four_cycle, 12) is None  # ⟨(1 2 3), (1 2 3 4)⟩ = Sym(4)
+    full = chain.extended(four_cycle, 24)
+    assert full is not None and full.order() == 24
+    s3 = chain.extended(parse_cycles("(1 2)", 4).zero, 12)
+    assert s3 is not None and s3.order() == 6
+    assert s3.add_generator(four_cycle)  # a finished chain has no limit left
+    assert s3.order() == 24
+    assert chain.order() == 3  # the original chain is left untouched
 
 
 def test_id_of_perm():

@@ -14,6 +14,7 @@ from groupcover import (
     construct,
     generated_subgroup,
     lattice,
+    parse_cycles,
     sigma,
     tomkinson_sigma,
 )
@@ -311,3 +312,82 @@ def test_exhausted_join_budget_leaves_no_poisoned_lattice():
     with pytest.raises(BudgetExhaustedError):
         lattice(H, join_budget=1).maximal_subgroups()
     assert tomkinson_sigma(H).sigma == 4
+
+
+# The worklist's output pinned: a change in the order of the join targets
+# or in the recorded generators changes these numbers or these strings.
+
+
+def _fresh_lattice(spec: str) -> SubgroupLattice:
+    return SubgroupLattice(_fresh(spec))
+
+
+@pytest.mark.parametrize(
+    "spec, joins", [("Alt(6)", 335), ("PSL2(9)", 335), ("Sym(5)", 143)]
+)
+def test_worklist_join_counts_pinned(spec, joins):
+    lat = _fresh_lattice(spec)
+    lat.maximal_subgroups()
+    assert lat.joins_spent == joins
+
+
+SIGMA_COVER_STRINGS = {
+    "Sym(5)": [
+        ["(1 5)(2 4)", "(2 3 5 4)"],
+        ["(1 3)(2 5)", "(1 5 2 4)"],
+        ["(1 5)(2 3)", "(1 4 2 5)"],
+        ["(1 4)(2 3)", "(1 5)"],
+        ["(1 5)(2 4)", "(3 4 5)"],
+        ["(1 3)(2 4)", "(1 5)"],
+        ["(2 5)(3 4)", "(1 2)"],
+        ["(1 2)(3 4)", "(1 5 3 2)"],
+        ["(2 4)(3 5)", "(1 2)"],
+        ["(1 5)(2 4)", "(3 4)"],
+        ["(1 3)(4 5)", "(2 3)"],
+        ["(1 2)(3 5)", "(4 5)"],
+        ["(1 3)(2 5)", "(4 5)"],
+        ["(1 4)(2 3)", "(2 5)"],
+        ["(1 4)(2 5)", "(1 3 5 4)"],
+        ["(1 4)(2 5)", "(3 4)"],
+    ],
+    "Alt(6)": [
+        ["(2 6)(3 5)", "(1 3 4)(2 5 6)"],
+        ["(1 3)(2 4)", "(1 6 3 2)(4 5)"],
+        ["(2 5)(3 4)", "(1 5)(2 4 6 3)"],
+        ["(1 4)(3 5)", "(1 2 4 3)(5 6)"],
+        ["(1 5)(3 6)", "(1 4 2)(3 5 6)"],
+        ["(2 3)(4 6)", "(1 4)(2 6 3 5)"],
+        ["(1 6)(2 5)", "(1 5 6)(2 4 3)"],
+        ["(1 6)(2 4)", "(1 5 3)(2 4 6)"],
+        ["(1 5)(3 6)", "(1 2)(3 4 6 5)"],
+        ["(2 6)(3 4)", "(1 2 5)(3 4 6)"],
+        ["(2 3)(4 6)", "(1 4 5)(2 3 6)"],
+        ["(1 2)(3 4)", "(1 3 2 6)(4 5)"],
+        ["(2 6)(3 5)", "(1 3)(2 4 6 5)"],
+        ["(1 6)(2 3)", "(1 4)(2 5 3 6)"],
+        ["(1 2)(3 6)", "(1 5 2 6)(3 4)"],
+        ["(1 6)(2 5)", "(1 4 6 5)(2 3)"],
+    ],
+}
+
+
+@pytest.mark.parametrize("spec", sorted(SIGMA_COVER_STRINGS))
+def test_sigma_cover_generators_pinned(spec):
+    res = sigma(_fresh(spec))
+    assert res.sigma == 16
+    assert [list(c) for c in res.cover] == SIGMA_COVER_STRINGS[spec]
+
+
+def test_join_that_reaches_g_returns_no_chain():
+    from groupcover.lattice import _chain_of_ids
+
+    lat = _fresh_lattice("Sym(4)")
+    T = lat.table
+    ids = [T.id_of_perm(parse_cycles(c, 4)) for c in ("(1 2 3)", "(1 2 3 4)", "(1 2)")]
+    chain = _chain_of_ids(T, ids[:1])
+    assert lat._join(chain, ids[1]) is None  # ⟨(1 2 3), (1 2 3 4)⟩ = Sym(4)
+    assert lat.joins_spent == 1
+    proper = lat._join(chain, ids[2])
+    assert proper is not None and proper.order() == 6
+    assert lat.joins_spent == 2
+    assert chain.order() == 3
