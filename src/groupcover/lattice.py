@@ -5,11 +5,19 @@ element IDs of one ambient group.  The centerpiece is a complete
 maximal-subgroup enumeration by ascending join-closure: a worklist of
 subgroup conjugacy classes, seeded with the cyclic subgroups, where each
 class representative H is extended by generators ⟨H, x⟩ until either some
-extension stays proper (H is not maximal; the extension is a newly
-discovered subgroup) or every extension generates the whole group (H is
+extension stays proper (H is not maximal; the extension is a larger
+subgroup, pushed when it is new) or every extension generates the whole group (H is
 maximal).  Processing one representative per conjugacy class is sound
 because joins of conjugates are conjugates of joins; whole conjugate orbits
 are pushed in one step.
+
+Most proper joins give a subgroup the worklist already holds, so each join
+⟨H, x⟩ is answered from H's known overgroups first: with K the smallest
+known subgroup above H that contains x, ⟨H, x⟩ ≤ K, and Schreier-Sims stops
+once the order passes |K|/2 (|G|/2 when there is no such K): by Lagrange the
+join is then K (or G).  A join that stays within that bound is new, and only
+then are its elements built.  Every target still spends one join of the
+budget, however it is answered.
 
 The same worklist discovers every subgroup of the ambient group, with its
 normality, which the normal-subgroup, chief-series, complement, and
@@ -39,6 +47,7 @@ from .perm import Permutation
 from .subgroup import SubgroupSet, bits_from_ids
 
 DEFAULT_JOIN_BUDGET = 10**7
+_CONJUGATE_CHUNK = 64  # frontier subgroups conjugated together
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -120,6 +129,8 @@ class SubgroupLattice:
         self.table = G.table(cap)
         self.join_budget = join_budget
         self.joins_spent = 0
+        # joins whose subgroup was new and had to be built element by element
+        self.joins_materialised = 0
         self._cyclic: list[SubgroupSet] | None = None
         self._cyclic_gen: np.ndarray | None = None
         self._elem_to_cyclic: np.ndarray | None = None
@@ -173,15 +184,24 @@ class SubgroupLattice:
         self._elem_to_cyclic = remap
 
     def maximal_cyclic_subgroups(self) -> list[SubgroupSet]:
-        """Cyclic subgroups not properly contained in a larger cyclic one."""
+        """Cyclic subgroups not properly contained in a larger cyclic one.
+
+        ⟨x^p⟩ for a prime p dividing the order of x is exactly the kind of
+        cyclic subgroup that lies properly inside another, so per prime p of
+        |G| the rows of every x with p | o(x) are raised to the p-th power
+        together.
+        """
         if self._maximal_cyclic is None:
             T = self.table
             cyc = self.cyclic_subgroups()
-            non_maximal = [False] * len(cyc)
-            for x in range(T.n):
-                o = int(T.orders[x])
-                for p in _prime_factors(o):
-                    non_maximal[int(self._elem_to_cyclic[T.power(x, p)])] = True
+            non_maximal = np.zeros(len(cyc), dtype=bool)
+            for p in _prime_factors(T.n):
+                rows = T.rows[T.orders % p == 0]
+                power = rows
+                for _ in range(p - 1):
+                    # x^(k+1) applies x^k, then x: x^k's images looked up in x's row
+                    power = np.take_along_axis(rows, power, axis=1)
+                non_maximal[self._elem_to_cyclic[T.lookup_rows(power)]] = True
             self._maximal_cyclic = [
                 S for S, dead in zip(cyc, non_maximal) if not dead
             ]
@@ -190,25 +210,44 @@ class SubgroupLattice:
     # -- conjugacy ----------------------------------------------------------
 
     def conjugates(self, S: SubgroupSet) -> list[SubgroupSet]:
-        """The full conjugacy orbit of a subgroup, sorted by key."""
+        """The full conjugacy orbit of a subgroup, sorted by key.
+
+        Breadth first: every frontier subgroup is conjugated by every group
+        generator, and new conjugates are kept in (subgroup, generator)
+        order.  The frontier is conjugated in chunks of at most
+        ``_CONJUGATE_CHUNK`` subgroups, one gather and one packed mask per
+        chunk and generator, which bounds the temporaries at that many
+        membership rows.
+        """
         T = self.table
         tables = T.conj_by_gen()
         seen: dict[bytes, SubgroupSet] = {S.key: S}
         frontier = [S]
         while frontier:
             nxt = []
-            for H in frontier:
+            for start in range(0, len(frontier), _CONJUGATE_CHUNK):
+                chunk = frontier[start : start + _CONJUGATE_CHUNK]
+                ids = np.stack([H.ids for H in chunk])  # conjugates: one order
+                images = []
                 for ct in tables:
-                    mask = np.zeros(T.n, dtype=bool)
-                    mask[ct[H.ids]] = True
-                    if np.packbits(mask, bitorder="little").tobytes() in seen:
-                        continue
-                    C = SubgroupSet.from_mask(
-                        T, mask, gen_ids=[int(ct[g]) for g in H.gen_ids]
+                    img = ct[ids]
+                    mask = np.zeros((len(chunk), T.n), dtype=bool)
+                    np.put_along_axis(mask, img, True, axis=1)
+                    images.append(
+                        (ct, img, np.packbits(mask, axis=1, bitorder="little"))
                     )
-                    C.is_cyclic = H.is_cyclic
-                    seen[C.key] = C
-                    nxt.append(C)
+                for i, H in enumerate(chunk):
+                    for ct, img, packed in images:
+                        key = packed[i].tobytes()
+                        if key in seen:
+                            continue
+                        C = SubgroupSet.from_key(
+                            T, key, np.sort(img[i]),
+                            gen_ids=[int(ct[g]) for g in H.gen_ids],
+                        )
+                        C.is_cyclic = H.is_cyclic
+                        seen[key] = C
+                        nxt.append(C)
             frontier = nxt
         return sorted(seen.values(), key=lambda x: x.key)
 
@@ -243,6 +282,7 @@ class SubgroupLattice:
 
     def _run_worklist(self) -> None:
         self.joins_spent = 0  # an earlier run may have stopped on its budget
+        self.joins_materialised = 0
         T = self.table
         n = T.n
         trivial = SubgroupSet(T, bits_from_ids([T.identity_id]), gen_ids=[])
@@ -258,13 +298,14 @@ class SubgroupLattice:
 
         cyclics = self.cyclic_subgroups()
         cyc_key = {S.key for S in cyclics}
-        queue: list[tuple[int, bytes]] = []
-        orbits: dict[bytes, list[SubgroupSet]] = {}
+        queue: list[tuple[int, bytes, int]] = []
+        recorded: list[list[SubgroupSet]] = []  # every orbit pushed, in order
 
-        def push_class(S: SubgroupSet) -> None:
-            """Record S's whole conjugacy orbit; enqueue its representative."""
+        def push_class(S: SubgroupSet) -> list[SubgroupSet]:
+            """Record S's whole conjugacy orbit and enqueue its representative;
+            return the orbit, or nothing when S is known already."""
             if S.key in discovered:
-                return
+                return []
             orbit = self.conjugates(S)
             normal = len(orbit) == 1
             for C in orbit:
@@ -273,16 +314,17 @@ class SubgroupLattice:
                     C.is_cyclic = C.key in cyc_key
                 discovered[C.key] = C
             rep = orbit[0]
-            orbits[rep.key] = orbit
-            heapq.heappush(queue, (rep.order, rep.key))
+            heapq.heappush(queue, (rep.order, rep.key, len(recorded)))
+            recorded.append(orbit)
+            return orbit
 
         for S in cyclics:
             if not S.is_trivial_subgroup() and not S.is_whole_group():
                 push_class(S)
 
         while queue:
-            _, key = heapq.heappop(queue)
-            self._process_class(orbits.pop(key), push_class, maximal)
+            _, _, i = heapq.heappop(queue)
+            self._process_class(recorded[i], push_class, recorded, maximal)
 
         if not maximal and n > 1:
             # No proper non-trivial subgroup at all: |G| is prime and the
@@ -293,32 +335,63 @@ class SubgroupLattice:
         self._all_subgroups = discovered
         self._maximal = sorted(maximal, key=lambda s: s.key)
 
-    def _process_class(self, orbit, push_class, maximal) -> None:
-        """Join the class representative orbit[0] with its targets; flag the
-        whole orbit maximal when every join is G."""
+    def _process_class(self, orbit, push_class, recorded, maximal) -> None:
+        """Join the class representative H = orbit[0] with its targets; flag
+        the whole orbit maximal when every join is G.
+
+        The members of the recorded orbits that properly contain H are
+        indexed first, and every new class a join pushes adds its members
+        that contain H, so each join is answered against all the overgroups
+        of H known at that time (see ``_join_answer``).
+        """
         T = self.table
         H = orbit[0]
         chain_H = _chain_of_ids(T, H.gen_ids)
+        over = _Overgroups(H, recorded)
         all_join_full = True
         for x in self._targets_for(H, T.n // H.order):
-            c2 = self._join(chain_H, x)
-            if c2 is None:
+            J = self._join_answer(H, chain_H, x, over)
+            if J is None:
                 continue
             all_join_full = False
-            push_class(_subgroup_from_chain(T, c2, H.gen_ids + [x]))
+            over.add(push_class(J))
         for M in orbit:
             M.is_maximal = all_join_full
         if all_join_full:
             maximal.extend(orbit)
 
-    def _join(self, chain: StabilizerChain, x: int) -> StabilizerChain | None:
-        """The chain of ⟨chain, x⟩, or None when that join is G.
+    def _join_answer(
+        self, H: SubgroupSet, chain_H: StabilizerChain, x: int, over: _Overgroups
+    ) -> SubgroupSet | None:
+        """⟨H, x⟩ for a target x outside H, for one join: None when it is G.
 
-        Schreier-Sims stops once the partial order passes |G|/2: a subgroup
-        order above half of |G| that divides |G| is |G| itself.
+        Let K be the smallest known subgroup that properly contains H and
+        contains x.  Then ⟨H, x⟩ ≤ K, so Schreier-Sims stops as soon as the
+        order passes |K|/2, and the join is K itself, already known.  A join
+        that stays at or below |K|/2 (|G|/2 when no known overgroup holds x)
+        is smaller than every known overgroup of H that holds x, so it is a
+        new subgroup, and only then are its elements built.
+        """
+        K = over.smallest_containing(x)
+        chain = self._join(chain_H, x, self.table.n if K is None else K.order)
+        if chain is None:
+            return K
+        self.joins_materialised += 1
+        return _subgroup_from_chain(self.table, chain, H.gen_ids + [x])
+
+    def _join(
+        self, chain: StabilizerChain, x: int, within: int | None = None
+    ) -> StabilizerChain | None:
+        """The chain of ⟨chain, x⟩, or None when that join is the subgroup of
+        order ``within`` (default |G|) known to contain it.
+
+        Schreier-Sims stops once the partial order passes within/2: a
+        subgroup of that subgroup whose order is above half of its order is
+        the whole of it.
         """
         self._spend_join()
-        return chain.extended(_row_tuple(self.table, x), self.table.n // 2)
+        limit = (self.table.n if within is None else within) // 2
+        return chain.extended(_row_tuple(self.table, x), limit)
 
     def _targets_for(self, H: SubgroupSet, index: int) -> list[int]:
         """Element IDs x whose joins ⟨H, x⟩ witness H's maximality status.
@@ -563,6 +636,44 @@ class SubgroupLattice:
         S = SubgroupSet(T, bits_from_ids(ids))
         S.gen_ids = _small_generating_ids(T, ids)
         return S
+
+
+class _Overgroups:
+    """The known subgroups that properly contain H, smallest first.
+
+    Each is held as a row of its packed membership bytes (its key), so one
+    column gather tests an element against all of them.
+    """
+
+    def __init__(self, H: SubgroupSet, orbits: list[list[SubgroupSet]]):
+        self.H = H
+        self.groups: list[SubgroupSet] = []
+        self._rows: np.ndarray | None = None
+        order = H.order
+        self.add(
+            K for orbit in orbits
+            if orbit[0].order > order and orbit[0].order % order == 0
+            for K in orbit
+        )
+
+    def add(self, subgroups) -> None:
+        """Index those of the given subgroups, all larger than H, that contain H."""
+        hb = self.H.bits
+        new = [K for K in subgroups if K.bits & hb == hb]
+        if new:
+            self.groups = sorted(self.groups + new, key=lambda K: K.order)
+            self._rows = None
+
+    def smallest_containing(self, x: int) -> SubgroupSet | None:
+        if not self.groups:
+            return None
+        if self._rows is None:
+            self._rows = np.frombuffer(
+                b"".join(K.key for K in self.groups), dtype=np.uint8
+            ).reshape(len(self.groups), -1)
+        hit = (self._rows[:, x >> 3] >> (x & 7)) & 1
+        i = int(np.argmax(hit))
+        return self.groups[i] if hit[i] else None
 
 
 def _orbit_minima(perms: list[np.ndarray], size: int) -> np.ndarray:

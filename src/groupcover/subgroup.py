@@ -74,10 +74,21 @@ class SubgroupSet:
     ) -> "SubgroupSet":
         """From a boolean membership array of length table.n, whose packed
         bytes are the key already."""
-        key = np.packbits(mask, bitorder="little").tobytes()
+        return cls.from_key(
+            table,
+            np.packbits(mask, bitorder="little").tobytes(),
+            np.flatnonzero(mask).astype(np.int32),
+            gen_ids=gen_ids,
+        )
+
+    @classmethod
+    def from_key(
+        cls, table, key: bytes, ids: np.ndarray, gen_ids: list[int] | None = None
+    ) -> "SubgroupSet":
+        """From the packed membership bytes and the sorted int32 member IDs."""
         S = cls(table, int.from_bytes(key, "little"), gen_ids=gen_ids)
         S._key = key
-        S._ids = np.flatnonzero(mask).astype(np.int32)
+        S._ids = ids
         return S
 
     @property

@@ -61,6 +61,43 @@ def o_closure(gens, degree: int) -> frozenset[tuple[int, ...]]:
     return frozenset(seen)
 
 
+def coset_closure(rows, cols, H, gens, abort_over: int | None = None):
+    """The subgroup generated by ``gens``, as a frozenset of element ids, by
+    one step of Dimino's algorithm; None once it has more than ``abort_over``
+    elements (it is then the whole group whenever abort_over >= n // the
+    smallest prime divisor of n).
+
+    ``H`` is a subgroup inside the one generated, and ``rows[a][b]`` and
+    ``cols[b][a]`` are both the id of (apply a, then b).  The result is grown
+    as a union of right cosets H·r: every coset representative r is
+    multiplied on the right by every generator, and a product y outside the
+    union adds its whole coset H·y and becomes a representative itself.  A
+    union of cosets closed under right multiplication by the generators is
+    the subgroup they generate.
+    """
+    H = list(H)
+    member = bytearray(len(rows))
+    for h in H:
+        member[h] = 1
+    elements = list(H)
+    reps = [H[0]]  # any element of H represents the coset H itself
+    for r in reps:
+        row = rows[r]
+        for g in gens:
+            y = row[g]
+            if member[y]:
+                continue
+            col = cols[y]
+            coset = [col[h] for h in H]
+            for z in coset:
+                member[z] = 1
+            elements.extend(coset)
+            reps.append(y)
+        if abort_over is not None and len(elements) > abort_over:
+            return None
+    return frozenset(elements)
+
+
 class BruteGroup:
     """A finite group held as an explicit multiplication table.
 
@@ -77,12 +114,20 @@ class BruteGroup:
         self.index = {e: i for i, e in enumerate(elems)}
         self.identity_id = self.index[tuple(range(self.degree))]
         E = np.array(elems, dtype=np.int32)
-        # mul[a, b] = id of (apply a, then b)
+        # Big-endian rows compared as raw bytes compare lexicographically,
+        # so the sorted element list is sorted as byte strings too and a
+        # binary search finds the ID of any product.
+        key = np.dtype((np.void, 4 * self.degree))
+        sorted_keys = E.astype(">i4").view(key).ravel()
+        # mul[a, b] = id of (apply a, then b): row a's images looked up in row b
         mul = np.empty((self.n, self.n), dtype=np.int32)
         for b in range(self.n):
-            composed = E[b][E]  # row a -> images of (a then b)
-            for a in range(self.n):
-                mul[a, b] = self.index[tuple(int(v) for v in composed[a])]
+            composed = E[b][E]
+            composed_keys = composed.astype(">i4").view(key).ravel()
+            found = np.searchsorted(sorted_keys, composed_keys)
+            if (found >= self.n).any() or not (E[found] == composed).all():
+                raise ValueError("the elements are not closed under products")
+            mul[:, b] = found
         self.mul = mul
         self.orders = [o_order(e) for e in elems]
         self._subgroups: set[frozenset[int]] | None = None
@@ -92,19 +137,6 @@ class BruteGroup:
         return cls(o_closure(gens, degree))
 
     # -- subgroup machinery -------------------------------------------------
-
-    def closure_ids(self, seed_ids, abort_over: int | None = None):
-        """The subgroup generated by ``seed_ids``; None if it provably
-        has more than ``abort_over`` elements (then it is the whole group
-        whenever abort_over >= n // smallest prime divisor)."""
-        cur = np.unique(np.fromiter(set(seed_ids) | {self.identity_id}, dtype=np.int64))
-        while True:
-            new = np.unique(self.mul[np.ix_(cur, cur)])
-            if abort_over is not None and len(new) > abort_over:
-                return None
-            if len(new) == len(cur):
-                return frozenset(int(x) for x in cur)
-            cur = new
 
     def cyclic_subgroups(self) -> dict[frozenset[int], int]:
         """All cyclic subgroups, mapped to one generating element id."""
@@ -129,12 +161,13 @@ class BruteGroup:
         half = self.n // min(
             p for p in range(2, self.n + 1) if self.n % p == 0
         ) if self.n > 1 else 1
+        rows, cols = self.mul.tolist(), self.mul.T.tolist()
         cyclics = self.cyclic_subgroups()
         subs: set[frozenset[int]] = set(cyclics) | {full}
-        frontier = [s for s in cyclics if s != full]
+        # each known subgroup with a list of elements generating it
+        frontier = [(s, [g]) for s, g in cyclics.items() if s != full]
         while frontier:
-            H = frontier.pop()
-            base = np.fromiter(H, dtype=np.int64)
+            H, gens = frontier.pop()
             for C, g in cyclics.items():
                 if g in H:
                     continue
@@ -142,11 +175,11 @@ class BruteGroup:
                 # that already forces the whole group.
                 if len(H) * len(C) // len(H & C) > half:
                     continue
-                new = self.closure_ids(np.append(base, g), abort_over=half)
+                new = coset_closure(rows, cols, H, gens + [g], abort_over=half)
                 if new is None or new in subs:
                     continue
                 subs.add(new)
-                frontier.append(new)
+                frontier.append((new, gens + [g]))
         self._subgroups = subs
         return subs
 

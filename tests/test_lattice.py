@@ -21,6 +21,7 @@ from groupcover import (
 from groupcover.lattice import SubgroupLattice
 
 from conftest import brute_of, grp, manifest_upto, subgroup_ids
+from oracles import coset_closure, o_closure
 
 
 def test_sym3_cyclic_subgroups():
@@ -118,6 +119,18 @@ def test_lattice_completeness_against_brute_force_upto_500():
         ), spec
         checked += 1
     assert checked >= 40
+
+
+def test_oracle_coset_closure_matches_breadth_first_closure():
+    bg = brute_of("Sym(5)")
+    rows, cols = bg.mul.tolist(), bg.mul.T.tolist()
+    cyclics = sorted(bg.cyclic_subgroups().items(), key=lambda kv: sorted(kv[0]))
+    for (C, g), (_, h) in zip(cyclics, cyclics[5:] + cyclics[:5]):
+        gens = [bg.elements[g], bg.elements[h]]
+        want = frozenset(bg.index[e] for e in o_closure(gens, bg.degree))
+        assert coset_closure(rows, cols, C, [g, h]) == want
+        capped = coset_closure(rows, cols, C, [g, h], abort_over=60)
+        assert capped == (None if len(want) > 60 else want)
 
 
 def test_normal_subgroups_against_brute_force():
@@ -391,3 +404,81 @@ def test_join_that_reaches_g_returns_no_chain():
     assert proper is not None and proper.order() == 6
     assert lat.joins_spent == 2
     assert chain.order() == 3
+
+
+# Joins answered from the overgroups the worklist already holds.
+
+
+@pytest.mark.parametrize("spec", ["Sym(5)", "Alt(6)", "PGL2(7)"])
+def test_every_join_answer_is_the_generated_subgroup(spec, monkeypatch):
+    lat = _fresh_lattice(spec)
+    T = lat.table
+    answers = []
+    answer = lat._join_answer
+
+    def recording(H, chain_H, x, over):
+        J = answer(H, chain_H, x, over)
+        answers.append((H, x, J))
+        return J
+
+    monkeypatch.setattr(lat, "_join_answer", recording)
+    lat.maximal_subgroups()
+    assert len(answers) == lat.joins_spent
+    proper = 0
+    for H, x, J in answers:
+        want = generated_subgroup(T, list(H.gen_ids) + [x])
+        assert (J is None) == (want.order == T.n), (spec, H, x)
+        if J is not None:
+            assert J.key == want.key, (spec, H, x)
+            proper += 1
+    # most proper joins are answered by a subgroup found earlier
+    assert lat.joins_materialised < proper
+
+
+def _non_cyclic_classes(lat: SubgroupLattice) -> int:
+    seen: set[bytes] = set()
+    classes = 0
+    for S in lat.all_subgroups():
+        if S.is_cyclic or S.key in seen:
+            continue
+        classes += 1
+        seen.update(C.key for C in lat.conjugates(S))
+    return classes
+
+
+@pytest.mark.parametrize(
+    "spec, materialised", [("Sym(5)", 11), ("Alt(6)", 15), ("PGL2(7)", 14)]
+)
+def test_joins_materialised_counts_non_cyclic_classes(spec, materialised):
+    # the cyclic classes seed the worklist, so a join never finds a new one
+    lat = _fresh_lattice(spec)
+    lat.maximal_subgroups()
+    assert lat.joins_materialised == _non_cyclic_classes(lat) == materialised
+
+
+def test_m11_joins_materialised(m11):
+    lat = lattice(m11)
+    assert lat.joins_spent == 5285
+    assert lat.joins_materialised == _non_cyclic_classes(lat) == 30
+
+
+def test_joins_answered_from_overgroups_still_spend_budget():
+    G = _fresh("Alt(6)")
+    with pytest.raises(BudgetExhaustedError) as err:
+        sigma(G, SigmaOptions(join_budget=334))
+    assert err.value.budget == 334
+    assert sigma(G, SigmaOptions(join_budget=335)).sigma == 16
+    assert lattice(G).joins_spent == 335
+
+
+@pytest.mark.parametrize(
+    "spec", ["Sym(5)", "Alt(6)", "PGL2(7)", "AGL1(16)", "Frobenius(11,5)"]
+)
+def test_maximal_cyclic_subgroups_match_containment_reference(spec):
+    lat = lattice(grp(spec))
+    cyc = lat.cyclic_subgroups()
+    want = [
+        C for C in cyc
+        if not any(D.order > C.order and C.issubset(D) for D in cyc)
+    ]
+    assert [C.key for C in lat.maximal_cyclic_subgroups()] == [C.key for C in want]
