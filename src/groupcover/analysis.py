@@ -31,7 +31,12 @@ from .cover import (
     reduce as reduce_instance,
     solve_exact,
 )
-from .errors import BudgetExhaustedError, CyclicGroupError, InvariantError
+from .errors import (
+    BudgetExhaustedError,
+    CapExceededError,
+    CyclicGroupError,
+    InvariantError,
+)
 from .group import DEFAULT_ELEMENT_CAP, PermGroup, center
 from .lattice import (
     DEFAULT_JOIN_BUDGET,
@@ -522,8 +527,10 @@ def classification_report(
 
     Sweeps the whole catalog manifest in order.  Groups whose root lower
     bound already exceeds ``max_sum`` are excluded from rows cheaply;
-    everything else gets an exact σ and a σ-elementary verdict.  Returns a
-    report document with ``ok`` false on any mismatch.
+    everything else gets an exact σ and a σ-elementary verdict.  A group
+    whose budget runs out, or whose order is over ``opts.cap``, gets a
+    ``skipped`` entry.  Returns a report document with ``ok`` false on any
+    mismatch.
     """
     opts = opts or SigmaOptions()
     sweep: list[dict] = []
@@ -545,6 +552,9 @@ def classification_report(
             entry["status"] = "skipped"
             entry["interval"] = [e.lower, e.upper]
             flags.append(f"{spec_text}: skipped on exhausted {e.what}")
+        except CapExceededError as e:
+            entry["status"] = "skipped"
+            flags.append(f"{spec_text}: skipped, order {e.order} over the cap {e.cap}")
         sweep.append(entry)
         expected = SIGMA_EXPECTATIONS.get(spec_text)
         if expected is not None:

@@ -57,6 +57,7 @@ class StabilizerChain:
         self.degree = degree
         self.identity = tuple(range(degree))
         self.levels: list[_Level] = []
+        self._order = 1  # the product of the basic orbit lengths, kept current
         self._limit: int | None = None
 
     @classmethod
@@ -69,6 +70,7 @@ class StabilizerChain:
     def copy(self) -> "StabilizerChain":
         chain = StabilizerChain(self.degree)
         chain.levels = [lvl.copy() for lvl in self.levels]
+        chain._order = self._order
         return chain
 
     def extended(self, z: tuple[int, ...], limit: int) -> "StabilizerChain | None":
@@ -88,10 +90,7 @@ class StabilizerChain:
         return chain
 
     def order(self) -> int:
-        n = 1
-        for lvl in self.levels:
-            n *= len(lvl.transversal)
-        return n
+        return self._order
 
     def base(self) -> list[int]:
         return [lvl.point for lvl in self.levels]
@@ -156,7 +155,8 @@ class StabilizerChain:
                     transversal[gamma] = ug
                     inv[gamma] = invert(ug)
                     orbit.append(gamma)
-                    if self._limit is not None and self.order() > self._limit:
+                    self._order = self._order // (len(orbit) - 1) * len(orbit)
+                    if self._limit is not None and self._order > self._limit:
                         raise _OrderPassed
                     # ug is now gamma's transversal element: the Schreier
                     # generator ug * ug^-1 is trivial

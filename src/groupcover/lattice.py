@@ -19,6 +19,15 @@ join is then K (or G).  A join that stays within that bound is new, and only
 then are its elements built.  Every target still spends one join of the
 budget, however it is answered.
 
+A class with many targets answers most of them without Schreier-Sims: one
+seeded random Schreier-Sims prepass over all its targets at once, on numpy
+arrays, proves a lower bound on every |⟨H, x⟩|, and a bound above |K|/2
+(|G|/2) proves the join is K (G).  Only the targets it leaves open take the
+exact path above, in the same order, so the pushes, the recorded generators
+and the join counts are those of the exact path alone.  The random elements
+only decide how soon a bound is reached, never what a join is, so no result
+depends on the seed.
+
 The same worklist discovers every subgroup of the ambient group, with its
 normality, which the normal-subgroup, chief-series, complement, and
 supplement computations then reuse.
@@ -27,7 +36,9 @@ supplement computations then reuse.
 from __future__ import annotations
 
 import heapq
+import random
 from dataclasses import dataclass
+from math import gcd
 
 import numpy as np
 
@@ -48,6 +59,20 @@ from .subgroup import SubgroupSet, bits_from_ids
 
 DEFAULT_JOIN_BUDGET = 10**7
 _CONJUGATE_CHUNK = 64  # frontier subgroups conjugated together
+
+# The join prepass (``_join_lower_bounds``) runs on a class with at least
+# _PREPASS_MIN_TARGETS targets.  Timed per class over the worklists of the 69
+# MANIFEST groups of order <= 8160 (2-core machine), prepass and fallback
+# joins against exact joins alone take 1.1-1.6x below 16 targets, 0.7-1.0x
+# at 16-31, 0.6-0.9x at 32-63 and 0.4-0.65x from 64 up.  At 64 every class
+# that runs it gains a third or more, and the small solvable groups (no
+# class over 42 targets) keep the exact path alone.
+_PREPASS_MIN_TARGETS = 64
+_PREPASS_SEED = 20111222
+_PREPASS_SLOTS = 8  # product-replacement slots, and random elements per round
+_PREPASS_ROUNDS = 12
+_PREPASS_STALL = 2  # rounds without a new point before a target is left alone
+_PREPASS_CHUNK_BYTES = 1 << 20  # of inverse transversal rows per chunk of targets
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -148,40 +173,55 @@ class SubgroupLattice:
             self._build_cyclic()
         return self._cyclic
 
-    def subgroup_of_element(self, eid: int) -> SubgroupSet:
-        """The cyclic subgroup ⟨g⟩ for the element with this ID."""
-        self.cyclic_subgroups()
-        return self._cyclic[int(self._elem_to_cyclic[eid])]
-
     def _build_cyclic(self) -> None:
+        """Every cyclic subgroup, with its least generator, in key order.
+
+        e and f generate the same cyclic subgroup exactly when f = e^k for a
+        unit k mod o = o(e), and a few units generate all of them, so per
+        element order the least generator of ⟨e⟩ is an orbit minimum under a
+        few power maps.  ⟨e⟩ is then its generators together with ⟨e^p⟩ for
+        each prime p dividing o, which are smaller and so built first.
+        """
         T = self.table
         n = T.n
-        elem_to = np.full(n, -1, dtype=np.int32)
-        raw: list[tuple[SubgroupSet, list[int]]] = []
-        for e in range(n):
-            if elem_to[e] >= 0:
-                continue
-            ids = [T.identity_id]
-            x = e
-            while x != T.identity_id:
-                ids.append(x)
-                x = T.mul(x, e)
-            m = len(ids)
-            gens = [i for i in ids if T.orders[i] == m] or [T.identity_id]
-            S = SubgroupSet(T, bits_from_ids(ids), gen_ids=[min(gens)])
+        orders = T.orders
+        label = np.arange(n, dtype=np.int32)  # the least generator of ⟨e⟩
+        for o in sorted(set(orders.tolist())):
+            units = _unit_generators(o)
+            if units:
+                ids = np.flatnonzero(orders == o).astype(np.int32)
+                rows = T.rows[ids]
+                powers = [
+                    np.searchsorted(ids, T.lookup_rows(_power_rows(rows, k)))
+                    for k in units
+                ]
+                label[ids] = ids[_orbit_minima(powers, len(ids))]
+        reps = np.flatnonzero(label == np.arange(n)).astype(np.int32)
+        cls = np.searchsorted(reps, label)  # class of every element, by reps
+        rep_orders = orders[reps]
+        below: list[list[int]] = [[] for _ in range(len(reps))]
+        for p in _prime_factors(n):  # every element order divides |G|
+            at = np.flatnonzero(rep_orders % p == 0)
+            sub = cls[T.lookup_rows(_power_rows(T.rows[reps[at]], p))]
+            for c, b in zip(at.tolist(), sub.tolist()):
+                below[c].append(b)
+        bits = [0] * len(reps)
+        for e, c in enumerate(cls.tolist()):
+            bits[c] |= 1 << e  # first the generators of each class
+        for c in np.argsort(rep_orders, kind="stable").tolist():
+            for d in below[c]:
+                bits[c] |= bits[d]
+        raw = []
+        for c, g in enumerate(reps.tolist()):
+            S = SubgroupSet(T, bits[c], gen_ids=[g])
             S.is_cyclic = True
-            idx = len(raw)
-            raw.append((S, gens))
-            for g in gens:
-                elem_to[g] = idx
-        order = sorted(range(len(raw)), key=lambda i: raw[i][0].key)
-        rank = {old: new for new, old in enumerate(order)}
-        self._cyclic = [raw[i][0] for i in order]
-        self._cyclic_gen = np.array(
-            [S.gen_ids[0] for S in self._cyclic], dtype=np.int32
-        )
-        remap = np.array([rank[int(v)] for v in elem_to], dtype=np.int32)
-        self._elem_to_cyclic = remap
+            raw.append(S)
+        order = sorted(range(len(raw)), key=lambda i: raw[i].key)
+        rank = np.empty(len(raw), dtype=np.int32)
+        rank[order] = np.arange(len(raw), dtype=np.int32)
+        self._cyclic = [raw[i] for i in order]
+        self._cyclic_gen = reps[order]
+        self._elem_to_cyclic = rank[cls]
 
     def maximal_cyclic_subgroups(self) -> list[SubgroupSet]:
         """Cyclic subgroups not properly contained in a larger cyclic one.
@@ -196,11 +236,7 @@ class SubgroupLattice:
             cyc = self.cyclic_subgroups()
             non_maximal = np.zeros(len(cyc), dtype=bool)
             for p in _prime_factors(T.n):
-                rows = T.rows[T.orders % p == 0]
-                power = rows
-                for _ in range(p - 1):
-                    # x^(k+1) applies x^k, then x: x^k's images looked up in x's row
-                    power = np.take_along_axis(rows, power, axis=1)
+                power = _power_rows(T.rows[T.orders % p == 0], p)
                 non_maximal[self._elem_to_cyclic[T.lookup_rows(power)]] = True
             self._maximal_cyclic = [
                 S for S, dead in zip(cyc, non_maximal) if not dead
@@ -343,37 +379,65 @@ class SubgroupLattice:
         indexed first, and every new class a join pushes adds its members
         that contain H, so each join is answered against all the overgroups
         of H known at that time (see ``_join_answer``).
+
+        A class with many targets first runs one random Schreier-Sims prepass
+        over all of them (``_join_lower_bounds``), which proves a lower bound
+        on every |⟨H, x⟩|.  The targets are then answered in order as before,
+        and a bound that passes half the order of the smallest known
+        overgroup K holding x (of G when there is none) proves that the join
+        is K without an exact Schreier-Sims.  The bounds are proven whatever
+        the random elements were, so the seed only decides how many joins
+        fall back to the exact path, never what any join is.
         """
         T = self.table
         H = orbit[0]
         chain_H = _chain_of_ids(T, H.gen_ids)
+        targets = self._targets_for(H, T.n // H.order)
         over = _Overgroups(H, recorded)
+        smallest = over.smallest_containing(targets)
+        if len(targets) >= _PREPASS_MIN_TARGETS and _prepass_fits(T):
+            limits = np.array([K.order for K in over.groups] + [T.n])[smallest]
+            lower = _join_lower_bounds(T, H, targets, limits).tolist()
+        else:
+            lower = [0] * len(targets)
         all_join_full = True
-        for x in self._targets_for(H, T.n // H.order):
-            J = self._join_answer(H, chain_H, x, over)
+        for j, x in enumerate(targets.tolist()):
+            k = int(smallest[j])
+            K = over.groups[k] if k < len(over.groups) else None
+            J = self._join_answer(H, chain_H, x, K, lower[j])
             if J is None:
                 continue
             all_join_full = False
-            over.add(push_class(J))
+            if over.add(push_class(J)):
+                smallest[j + 1 :] = over.smallest_containing(targets[j + 1 :])
         for M in orbit:
             M.is_maximal = all_join_full
         if all_join_full:
             maximal.extend(orbit)
 
     def _join_answer(
-        self, H: SubgroupSet, chain_H: StabilizerChain, x: int, over: _Overgroups
+        self,
+        H: SubgroupSet,
+        chain_H: StabilizerChain,
+        x: int,
+        K: SubgroupSet | None,
+        lower: int = 0,
     ) -> SubgroupSet | None:
         """⟨H, x⟩ for a target x outside H, for one join: None when it is G.
 
-        Let K be the smallest known subgroup that properly contains H and
-        contains x.  Then ⟨H, x⟩ ≤ K, so Schreier-Sims stops as soon as the
-        order passes |K|/2, and the join is K itself, already known.  A join
-        that stays at or below |K|/2 (|G|/2 when no known overgroup holds x)
-        is smaller than every known overgroup of H that holds x, so it is a
-        new subgroup, and only then are its elements built.
+        K is the smallest known subgroup that properly contains H and
+        contains x, so ⟨H, x⟩ ≤ K (≤ G when K is None).  When ``lower``, a
+        proven lower bound on |⟨H, x⟩|, passes |K|/2, the join is K.
+        Otherwise Schreier-Sims stops as soon as the order passes |K|/2, and
+        the join is again K, already known.  A join that stays at or below
+        |K|/2 is smaller than every known overgroup of H that holds x, so it
+        is a new subgroup, and only then are its elements built.
         """
-        K = over.smallest_containing(x)
-        chain = self._join(chain_H, x, self.table.n if K is None else K.order)
+        within = self.table.n if K is None else K.order
+        if 2 * lower > within:
+            self._spend_join()
+            return K
+        chain = self._join(chain_H, x, within)
         if chain is None:
             return K
         self.joins_materialised += 1
@@ -393,7 +457,7 @@ class SubgroupLattice:
         limit = (self.table.n if within is None else within) // 2
         return chain.extended(_row_tuple(self.table, x), limit)
 
-    def _targets_for(self, H: SubgroupSet, index: int) -> list[int]:
+    def _targets_for(self, H: SubgroupSet, index: int) -> np.ndarray:
         """Element IDs x whose joins ⟨H, x⟩ witness H's maximality status.
 
         Either one generator per cyclic subgroup not inside H, or one
@@ -415,8 +479,7 @@ class SubgroupLattice:
                 [self._elem_to_cyclic[T.conj_rows(gens, h)] for h in H.gen_ids],
                 len(gens),
             )
-            first = outside & (label == np.arange(len(gens)))
-            return [int(g) for g in gens[first]]
+            return gens[outside & (label == np.arange(len(gens)))]
 
         # label every element by the least element of its right coset Hx
         all_ids = np.arange(T.n, dtype=np.int32)
@@ -427,7 +490,7 @@ class SubgroupLattice:
             [np.searchsorted(reps, coset_min[T.conj_rows(reps, h)]) for h in H.gen_ids],
             len(reps),
         )
-        return [int(x) for x in reps[label == np.arange(len(reps))]]
+        return reps[label == np.arange(len(reps))]
 
     # -- normal structure ---------------------------------------------------
 
@@ -648,7 +711,7 @@ class _Overgroups:
     def __init__(self, H: SubgroupSet, orbits: list[list[SubgroupSet]]):
         self.H = H
         self.groups: list[SubgroupSet] = []
-        self._rows: np.ndarray | None = None
+        self._rows = np.zeros((0, len(H.key)), dtype=np.uint8)
         order = H.order
         self.add(
             K for orbit in orbits
@@ -656,24 +719,184 @@ class _Overgroups:
             for K in orbit
         )
 
-    def add(self, subgroups) -> None:
-        """Index those of the given subgroups, all larger than H, that contain H."""
-        hb = self.H.bits
-        new = [K for K in subgroups if K.bits & hb == hb]
+    def add(self, subgroups) -> bool:
+        """Index those of the given subgroups, all larger than H, that
+        contain H; True when there were any."""
+        # K contains H exactly when it holds H's generators, one key byte
+        # each; the first one alone rules out most K
+        (q, bit), *rest = [(g >> 3, 1 << (g & 7)) for g in self.H.gen_ids]
+        new = [
+            K for K in subgroups
+            if K.key[q] & bit and all(K.key[r] & b for r, b in rest)
+        ]
         if new:
             self.groups = sorted(self.groups + new, key=lambda K: K.order)
-            self._rows = None
-
-    def smallest_containing(self, x: int) -> SubgroupSet | None:
-        if not self.groups:
-            return None
-        if self._rows is None:
             self._rows = np.frombuffer(
                 b"".join(K.key for K in self.groups), dtype=np.uint8
             ).reshape(len(self.groups), -1)
-        hit = (self._rows[:, x >> 3] >> (x & 7)) & 1
-        i = int(np.argmax(hit))
-        return self.groups[i] if hit[i] else None
+        return bool(new)
+
+    def smallest_containing(self, xs: np.ndarray) -> np.ndarray:
+        """Per element ID, the index in ``groups`` of the first (smallest)
+        one that contains it, or len(groups) when none does."""
+        hit = (self._rows[:, xs >> 3] >> (xs & 7)) & 1
+        # a row of ones below the last group stands for "none"
+        hit = np.vstack([hit, np.ones((1, len(xs)), dtype=hit.dtype)])
+        return np.argmax(hit, axis=0)
+
+
+def _prepass_fits(T: ElementTable) -> bool:
+    """Whether a chunk of the prepass holds _PREPASS_MIN_TARGETS chains:
+    each takes L inverse rows per point (a large degree, as in a regular
+    representation, is left to the exact joins)."""
+    chain_bytes = len(T._sift_base) * T.degree * T.degree * T.rows.itemsize
+    return chain_bytes * _PREPASS_MIN_TARGETS <= _PREPASS_CHUNK_BYTES
+
+
+def _join_lower_bounds(
+    T: ElementTable, H: SubgroupSet, targets: np.ndarray, limits: np.ndarray
+) -> np.ndarray:
+    """A proven lower bound on |⟨H, x⟩| for every target x, all at once.
+
+    Random Schreier-Sims on G's own base b_0..b_{L-1}, one partial chain per
+    target: ``reached[t, i]`` marks the points of b_i's orbit found so far
+    under ⟨H, x⟩ ∩ Stab(b_0..b_{i-1}), and ``inv[t, i, β]`` holds the inverse
+    of an element of that stabilizer mapping b_i to β.  The chains start as
+    H's own chain, read off H's elements.  Random elements of every ⟨H, x⟩
+    come from product replacement on the slots H.gen_ids + [x], with one
+    seeded schedule for all targets; each is sifted into its own target's
+    chain, and where it stops at an unreached point, that point is added with
+    the sifted element as its transversal.  Products of one transversal
+    element per level are distinct elements of ⟨H, x⟩, so the product of the
+    reached counts is a lower bound on its order, however random the
+    elements were.  A target leaves the prepass once its bound passes half
+    its limit, or after _PREPASS_STALL rounds with no new point.
+    """
+    base = T._sift_base
+    L, d = len(base), T.degree
+    dtype = T.rows.dtype
+    # H's chain on G's base, one transversal element per orbit point
+    h_reached = np.zeros((L, d), dtype=bool)
+    h_inv = np.zeros((L, d, d), dtype=dtype)
+    h_rows = T.rows[H.ids]
+    fixing = np.arange(len(h_rows))
+    for i, b in enumerate(base.tolist()):
+        first = np.full(d, -1, dtype=np.intp)
+        first[h_rows[fixing, b]] = fixing
+        pts = np.flatnonzero(first >= 0)
+        h_reached[i, pts] = True
+        h_inv[i, pts] = T.rows[T.inverse[H.ids[first[pts]]]]
+        fixing = fixing[h_rows[fixing, b] == b]
+    out = np.empty(len(targets), dtype=np.int64)
+    chunk = _PREPASS_CHUNK_BYTES // h_inv.nbytes
+    for start in range(0, len(targets), chunk):
+        xs = targets[start : start + chunk]
+        out[start : start + chunk] = _sifted_bounds(
+            T, H, xs, limits[start : start + chunk], h_reached, h_inv
+        )
+    return out
+
+
+def _sifted_bounds(T, H, xs, limits, h_reached, h_inv) -> np.ndarray:
+    """``_join_lower_bounds`` for one chunk of targets.
+
+    Rows are composed as flat gathers: apply a, then b, is
+    ``b.ravel()[a + offsets]`` with row i offset by i * degree.
+    """
+    base = T._sift_base.tolist()
+    m, d = len(xs), T.degree
+    L = len(base)
+    # entry (target, level, point) of both at target * L * d + level * d + point
+    reached = np.repeat(h_reached[None], m, axis=0).reshape(-1)
+    inv = np.repeat(h_inv[None], m, axis=0).reshape(m * L * d, d)
+    bound = np.full(m, H.order, dtype=np.int64)
+    gens = [np.repeat(T.rows[g][None], m, axis=0) for g in H.gen_ids] + [T.rows[xs]]
+    slots = [gens[k % len(gens)] for k in range(max(_PREPASS_SLOTS, len(gens)))]
+    live = np.arange(m)  # the targets still in the prepass
+    stall = np.zeros(m, dtype=np.int64)
+    rng = random.Random(_PREPASS_SEED)
+    for _ in range(_PREPASS_ROUNDS):
+        offsets = np.arange(0, len(live) * d, d)[:, None]
+        elements = []
+        for _ in range(len(slots)):
+            i, j = rng.sample(range(len(slots)), 2)
+            a, b = (slots[i], slots[j]) if rng.random() < 0.5 else (slots[j], slots[i])
+            slots[i] = b.ravel()[a + offsets]
+            elements.append(slots[i])
+        start = np.tile(live * (L * d), len(elements))
+        _sift_into(np.concatenate(elements), start, base, reached, inv)
+        new = reached.reshape(m, L, d)[live].sum(axis=2).prod(axis=1)
+        stall[live] = np.where(new > bound[live], 0, stall[live] + 1)
+        bound[live] = new
+        keep = (2 * new <= limits[live]) & (stall[live] < _PREPASS_STALL)
+        if not keep.any():
+            break
+        if not keep.all():
+            live = live[keep]
+            slots = [s[keep] for s in slots]
+    return bound
+
+
+def _sift_into(rows, start, base, reached, inv) -> None:
+    """Sift each row into the chain of its target, whose entries start at
+    ``start``; where one stops at an unreached point, add the point with the
+    sifted row as its transversal.
+
+    Only the images of the base points are stripped level by level; the
+    full residue of a row is rebuilt only when it stops at a new point.
+    """
+    d = rows.shape[1]
+    img = rows[:, base].astype(np.intp)
+    alive = np.arange(len(rows))  # rows still sifting, as indices into rows
+    for lvl in range(len(base)):
+        at = start + lvl * d + img[:, 0]  # the entry of (level, point)
+        hit = reached[at]
+        if not hit.all():
+            miss = ~hit
+            res = rows[alive[miss]]
+            offsets = np.arange(0, res.size, d)[:, None]
+            for k in range(lvl):
+                # apply the residue so far, then the inverse transversal element
+                u = inv[start[miss] + k * d + res[:, base[k]]]
+                res = u.ravel()[res + offsets]
+            reached[at[miss]] = True
+            res_inv = np.empty(res.size, dtype=res.dtype)
+            res_inv[res + offsets] = np.arange(d)
+            inv[at[miss]] = res_inv.reshape(-1, d)
+            alive, start, at, img = alive[hit], start[hit], at[hit], img[hit]
+            if not len(alive):
+                return
+        # the deeper base images under the inverse of the transversal element
+        img = inv.ravel()[at[:, None] * d + img[:, 1:]].astype(np.intp)
+
+
+def _unit_generators(o: int) -> list[int]:
+    """A few units k mod o that generate all of them under multiplication."""
+    gens: list[int] = []
+    reached = {1}
+    for k in range(2, o):
+        if k in reached or gcd(k, o) != 1:
+            continue
+        gens.append(k)
+        while True:
+            more = {r * k % o for r in reached} - reached
+            if not more:
+                break
+            reached |= more
+    return gens
+
+
+def _power_rows(rows: np.ndarray, k: int) -> np.ndarray:
+    """Each image row raised to the k-th power (k >= 1), by repeated squaring."""
+    out = None
+    while True:
+        if k & 1:
+            # the powers of one element commute, so the order of the factors is free
+            out = rows if out is None else np.take_along_axis(rows, out, axis=1)
+        k >>= 1
+        if not k:
+            return out
+        rows = np.take_along_axis(rows, rows, axis=1)
 
 
 def _orbit_minima(perms: list[np.ndarray], size: int) -> np.ndarray:

@@ -189,3 +189,24 @@ def test_table_text_and_json(tmp_path, capsys):
     # the printed text table mentions the flagship rows
     assert "M11" in out
     assert "Sym(6)" in out
+
+
+def test_table_skips_groups_over_the_cap(tmp_path, capsys):
+    out_file = tmp_path / "table.json"
+    code, out, _ = run(
+        capsys, "table", "--max-sum", "5", "--cap", "50", "--out", str(out_file)
+    )
+    doc = json.loads(out_file.read_text())
+    skipped = [e for e in doc["sweep"] if e["status"] == "skipped"]
+    # a group over the cap is skipped, never solved, and nothing aborts
+    assert skipped and all(e["order"] > 50 for e in skipped)
+    assert all("sigma" not in e for e in skipped)
+    assert {"ElemAbelian(11,2)", "M11"} <= {e["spec"] for e in skipped}
+    solved = [e for e in doc["sweep"] if e["status"] == "computed"]
+    assert solved and all(e["order"] <= 50 for e in solved)
+    assert "ElemAbelian(11,2): skipped, order 121 over the cap 50" in doc["flags"]
+    assert "skipped" in out
+    regression = {r["spec"]: r["status"] for r in doc["regression"]}
+    assert regression["M11"] == "skipped"
+    # the rows up to sum 5 need no group of order over 50
+    assert code == 0 and doc["ok"] is True

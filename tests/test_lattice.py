@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 from collections import Counter
 
 import pytest
@@ -18,7 +19,10 @@ from groupcover import (
     sigma,
     tomkinson_sigma,
 )
-from groupcover.lattice import SubgroupLattice
+from groupcover.lattice import SubgroupLattice, _chain_of_ids
+
+# the package binds the name groupcover.lattice to the function lattice()
+lattice_module = importlib.import_module("groupcover.lattice")
 
 from conftest import brute_of, grp, manifest_upto, subgroup_ids
 from oracles import coset_closure, o_closure
@@ -57,6 +61,22 @@ def test_alt5_is_simple():
     lat = lattice(grp("Alt(5)"))
     assert sorted(N.order for N in lat.normal_subgroups()) == [1, 60]
     assert lat.socle().order == 60
+
+
+@pytest.mark.parametrize(
+    "spec", ["Sym(5)", "PGL2(7)", "AGL1(16)", "ElemAbelian(5,2)", "Cyclic(12)"]
+)
+def test_cyclic_subgroups_by_powers(spec):
+    lat = lattice(grp(spec))
+    T = lat.table
+    cyc = lat.cyclic_subgroups()
+    assert [C.key for C in cyc] == sorted(C.key for C in cyc)
+    for e in range(T.n):
+        C = cyc[lat._elem_to_cyclic[e]]
+        assert set(C.ids.tolist()) == {T.power(e, k) for k in range(T.orders[e])}
+    for C, g in zip(cyc, lat._cyclic_gen.tolist()):
+        # the recorded generator is the least element generating C
+        assert C.gen_ids == [g] == [min(i for i in C.ids if T.orders[i] == C.order)]
 
 
 def test_maximal_cyclic_union_covers_group():
@@ -409,23 +429,43 @@ def test_join_that_reaches_g_returns_no_chain():
 # Joins answered from the overgroups the worklist already holds.
 
 
-@pytest.mark.parametrize("spec", ["Sym(5)", "Alt(6)", "PGL2(7)"])
-def test_every_join_answer_is_the_generated_subgroup(spec, monkeypatch):
-    lat = _fresh_lattice(spec)
-    T = lat.table
+def _record_join_answers(lat: SubgroupLattice, monkeypatch) -> list:
+    """Run the worklist and return (H, x, answer, decided by the prepass)."""
     answers = []
     answer = lat._join_answer
 
-    def recording(H, chain_H, x, over):
-        J = answer(H, chain_H, x, over)
-        answers.append((H, x, J))
+    def recording(H, chain_H, x, K, lower):
+        J = answer(H, chain_H, x, K, lower)
+        proven = 2 * lower > (lat.table.n if K is None else K.order)
+        answers.append((H, x, J, proven))
         return J
 
     monkeypatch.setattr(lat, "_join_answer", recording)
     lat.maximal_subgroups()
+    return answers
+
+
+@pytest.mark.parametrize(
+    "spec, min_targets",
+    [
+        ("Sym(5)", None),
+        ("Alt(6)", None),
+        ("PGL2(7)", None),
+        # every class through the prepass
+        ("Sym(5)", 1),
+        ("Alt(6)", 1),
+        ("PGL2(7)", 1),
+    ],
+)
+def test_every_join_answer_is_the_generated_subgroup(spec, min_targets, monkeypatch):
+    if min_targets is not None:
+        monkeypatch.setattr(lattice_module, "_PREPASS_MIN_TARGETS", min_targets)
+    lat = _fresh_lattice(spec)
+    T = lat.table
+    answers = _record_join_answers(lat, monkeypatch)
     assert len(answers) == lat.joins_spent
     proper = 0
-    for H, x, J in answers:
+    for H, x, J, _ in answers:
         want = generated_subgroup(T, list(H.gen_ids) + [x])
         assert (J is None) == (want.order == T.n), (spec, H, x)
         if J is not None:
@@ -433,6 +473,73 @@ def test_every_join_answer_is_the_generated_subgroup(spec, monkeypatch):
             proper += 1
     # most proper joins are answered by a subgroup found earlier
     assert lat.joins_materialised < proper
+    if min_targets is not None:
+        assert any(p for *_, p in answers)
+
+
+def test_every_m11_join_answer_is_the_generated_subgroup(monkeypatch):
+    # M11's large classes take the prepass by default.  ⟨H, x⟩ lies in the
+    # answer J, so equal orders make them equal.
+    lat = _fresh_lattice("M11")
+    T = lat.table
+    answers = _record_join_answers(lat, monkeypatch)
+    assert len(answers) == lat.joins_spent == 5285
+    assert sum(p for *_, p in answers) > 5000
+    for H, x, J, _ in answers:
+        order = _chain_of_ids(T, list(H.gen_ids) + [x]).order()
+        if J is None:
+            assert order == T.n, (H, x)
+        else:
+            assert all(J.contains_id(g) for g in list(H.gen_ids) + [x]), (H, x)
+            assert J.order == order, (H, x)
+
+
+def _fingerprint(lat: SubgroupLattice) -> list:
+    lat.maximal_subgroups()
+    return [
+        lat.joins_spent,
+        lat.joins_materialised,
+        [
+            (S.key, S.gen_ids, S.is_maximal, S.is_normal, S.is_cyclic)
+            for S in lat.all_subgroups()
+        ],
+        [S.key for S in lat.maximal_subgroups()],
+    ]
+
+
+@pytest.mark.parametrize("spec, min_targets", [("PGL2(7)", 1), ("M11", None)])
+def test_worklist_does_not_depend_on_the_prepass_seed(spec, min_targets, monkeypatch):
+    if min_targets is not None:
+        monkeypatch.setattr(lattice_module, "_PREPASS_MIN_TARGETS", min_targets)
+    exact = []
+    join = SubgroupLattice._join
+
+    def counting(self, *args):
+        exact.append(1)
+        return join(self, *args)
+
+    monkeypatch.setattr(SubgroupLattice, "_join", counting)
+    prints = []
+    for seed in (lattice_module._PREPASS_SEED, 1, 2):
+        monkeypatch.setattr(lattice_module, "_PREPASS_SEED", seed)
+        lat = _fresh_lattice(spec)
+        prints.append(_fingerprint(lat))
+    assert prints[1] == prints[0] and prints[2] == prints[0]
+    # the prepass ran: far fewer exact joins than joins spent
+    assert len(exact) < 3 * prints[0][0] // 2
+
+
+@pytest.mark.parametrize(
+    "spec, joins, materialised", [("Sym(5)", 143, 11), ("Alt(6)", 335, 15)]
+)
+def test_prepass_on_every_class_keeps_the_join_counts(
+    spec, joins, materialised, monkeypatch
+):
+    monkeypatch.setattr(lattice_module, "_PREPASS_MIN_TARGETS", 1)
+    lat = _fresh_lattice(spec)
+    lat.maximal_subgroups()
+    assert lat.joins_spent == joins
+    assert lat.joins_materialised == materialised
 
 
 def _non_cyclic_classes(lat: SubgroupLattice) -> int:
