@@ -3,8 +3,10 @@
 The stabilizer chain is built by a deterministic incremental Schreier-Sims
 pass: generators are sifted in their given order, the base extends on demand,
 and each new base point is the least point moved by the residue that created
-its level.  No randomization anywhere, so identical input always produces
-identical chains.
+its level.  No randomization, so identical input always produces identical
+chains.  The one random pass here, ``ElementTable.join_lower_bounds``, runs
+on a fixed seed and only proves lower bounds on subgroup orders, which hold
+whatever its random elements were.
 
 Element tables assign every group element a stable integer ID: IDs follow the
 lexicographic order of the 0-based image tables, independent of how the
@@ -13,6 +15,8 @@ closure was generated.
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 
 from .errors import CapExceededError
@@ -20,6 +24,13 @@ from .perm import Permutation, compose, invert
 from .subgroup import SubgroupSet, bits_from_ids
 
 DEFAULT_ELEMENT_CAP = 20000
+
+# ElementTable.join_lower_bounds: a seeded random Schreier-Sims pass
+_PREPASS_SEED = 20111222
+_PREPASS_SLOTS = 8  # product-replacement slots, and random elements per round
+_PREPASS_ROUNDS = 12
+_PREPASS_STALL = 2  # rounds without a new point before a target is left alone
+_PREPASS_CHUNK_BYTES = 1 << 20  # of inverse transversal rows per chunk of targets
 
 
 class _Level:
@@ -289,6 +300,54 @@ class ElementTable:
             np.array(p.zero, dtype=self.rows.dtype).tobytes()
         )
 
+    def prepass_chunk(self) -> int:
+        """How many targets one chunk of ``join_lower_bounds`` holds: each
+        target's chain takes L inverse rows of the degree per point."""
+        chain = len(self._sift_base) * self.degree**2 * self.rows.itemsize
+        return _PREPASS_CHUNK_BYTES // chain
+
+    def join_lower_bounds(
+        self, H: SubgroupSet, targets: np.ndarray, limits: np.ndarray
+    ) -> np.ndarray:
+        """A proven lower bound on |⟨H, x⟩| for every target x, all at once.
+
+        Random Schreier-Sims on G's own base b_0..b_{L-1}, one partial chain
+        per target: ``reached[t, i]`` marks the points of b_i's orbit found
+        so far under ⟨H, x⟩ ∩ Stab(b_0..b_{i-1}), and ``inv[t, i, β]`` holds
+        the inverse of an element of that stabilizer mapping b_i to β.  The
+        chains start as H's own chain, read off H's elements.  Random
+        elements of every ⟨H, x⟩ come from product replacement on the slots
+        H.gen_ids + [x], with one seeded schedule for all targets; each is
+        sifted into its own target's chain, and where it stops at an
+        unreached point, that point is added with the sifted element as its
+        transversal.  Products of one transversal element per level are
+        distinct elements of ⟨H, x⟩, so the product of the reached counts is
+        a lower bound on its order, however random the elements were.  A
+        target leaves the pass once its bound passes half its limit, or
+        after _PREPASS_STALL rounds with no new point.
+        """
+        L, d = len(self._sift_base), self.degree
+        # H's chain on G's base, one transversal element per orbit point
+        h_reached = np.zeros((L, d), dtype=bool)
+        h_inv = np.zeros((L, d, d), dtype=self.rows.dtype)
+        h_rows = self.rows[H.ids]
+        fixing = np.arange(len(h_rows))
+        for i, b in enumerate(self._sift_base.tolist()):
+            first = np.full(d, -1, dtype=np.intp)
+            first[h_rows[fixing, b]] = fixing
+            pts = np.flatnonzero(first >= 0)
+            h_reached[i, pts] = True
+            h_inv[i, pts] = self.rows[self.inverse[H.ids[first[pts]]]]
+            fixing = fixing[h_rows[fixing, b] == b]
+        out = np.empty(len(targets), dtype=np.int64)
+        chunk = self.prepass_chunk()
+        for start in range(0, len(targets), chunk):
+            part = slice(start, start + chunk)
+            out[part] = _sifted_bounds(
+                self, H, targets[part], limits[part], h_reached, h_inv
+            )
+        return out
+
 
 def _sift_index(chain: StabilizerChain, dtype):
     """Base points and, per level, (orbit position of each point or -1,
@@ -304,6 +363,92 @@ def _sift_index(chain: StabilizerChain, dtype):
     levels.reverse()
     base = np.array(chain.base(), dtype=np.intp)
     return base, levels
+
+
+def _sifted_bounds(T, H, xs, limits, h_reached, h_inv) -> np.ndarray:
+    """``ElementTable.join_lower_bounds`` for one chunk of targets.
+
+    Rows are composed as flat gathers: apply a, then b, is
+    ``b.ravel()[a + offsets]`` with row i offset by i * degree.
+    """
+    base = T._sift_base.tolist()
+    m, d = len(xs), T.degree
+    L = len(base)
+    # entry (target, level, point) of both at target * L * d + level * d + point
+    reached = np.repeat(h_reached[None], m, axis=0).reshape(-1)
+    inv = np.repeat(h_inv[None], m, axis=0).reshape(m * L * d, d)
+    bound = np.full(m, H.order, dtype=np.int64)
+    gens = [np.repeat(T.rows[g][None], m, axis=0) for g in H.gen_ids] + [T.rows[xs]]
+    slots = [gens[k % len(gens)] for k in range(max(_PREPASS_SLOTS, len(gens)))]
+    live = np.arange(m)  # the targets still in the prepass
+    stall = np.zeros(m, dtype=np.int64)
+    rng = random.Random(_PREPASS_SEED)
+    for _ in range(_PREPASS_ROUNDS):
+        offsets = np.arange(0, len(live) * d, d)[:, None]
+        elements = []
+        for _ in range(len(slots)):
+            i, j = rng.sample(range(len(slots)), 2)
+            a, b = (slots[i], slots[j]) if rng.random() < 0.5 else (slots[j], slots[i])
+            slots[i] = b.ravel()[a + offsets]
+            elements.append(slots[i])
+        start = np.tile(live * (L * d), len(elements))
+        _sift_into(np.concatenate(elements), start, base, reached, inv)
+        new = reached.reshape(m, L, d)[live].sum(axis=2).prod(axis=1)
+        stall[live] = np.where(new > bound[live], 0, stall[live] + 1)
+        bound[live] = new
+        keep = (2 * new <= limits[live]) & (stall[live] < _PREPASS_STALL)
+        if not keep.any():
+            break
+        if not keep.all():
+            live = live[keep]
+            slots = [s[keep] for s in slots]
+    return bound
+
+
+def _sift_into(rows, start, base, reached, inv) -> None:
+    """Sift each row into the chain of its target, whose entries start at
+    ``start``; where one stops at an unreached point, add the point with the
+    sifted row as its transversal.
+
+    Only the images of the base points are stripped level by level; the
+    full residue of a row is rebuilt only when it stops at a new point.
+    """
+    d = rows.shape[1]
+    img = rows[:, base].astype(np.intp)
+    alive = np.arange(len(rows))  # rows still sifting, as indices into rows
+    for lvl in range(len(base)):
+        at = start + lvl * d + img[:, 0]  # the entry of (level, point)
+        hit = reached[at]
+        if not hit.all():
+            miss = ~hit
+            res = rows[alive[miss]]
+            offsets = np.arange(0, res.size, d)[:, None]
+            for k in range(lvl):
+                # apply the residue so far, then the inverse transversal element
+                u = inv[start[miss] + k * d + res[:, base[k]]]
+                res = u.ravel()[res + offsets]
+            reached[at[miss]] = True
+            res_inv = np.empty(res.size, dtype=res.dtype)
+            res_inv[res + offsets] = np.arange(d)
+            inv[at[miss]] = res_inv.reshape(-1, d)
+            alive, start, at, img = alive[hit], start[hit], at[hit], img[hit]
+            if not len(alive):
+                return
+        # the deeper base images under the inverse of the transversal element
+        img = inv.ravel()[at[:, None] * d + img[:, 1:]].astype(np.intp)
+
+
+def power_rows(rows: np.ndarray, k: int) -> np.ndarray:
+    """Each image row raised to the k-th power (k >= 1), by repeated squaring."""
+    out = None
+    while True:
+        if k & 1:
+            # the powers of one element commute, so the order of the factors is free
+            out = rows if out is None else np.take_along_axis(rows, out, axis=1)
+        k >>= 1
+        if not k:
+            return out
+        rows = np.take_along_axis(rows, rows, axis=1)
 
 
 def _closure_rows(gens0: list[tuple[int, ...]], degree: int, order: int) -> np.ndarray:

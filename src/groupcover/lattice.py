@@ -36,7 +36,6 @@ supplement computations then reuse.
 from __future__ import annotations
 
 import heapq
-import random
 from dataclasses import dataclass
 from math import gcd
 
@@ -53,6 +52,7 @@ from .group import (
     ElementTable,
     PermGroup,
     StabilizerChain,
+    power_rows,
 )
 from .perm import Permutation
 from .subgroup import SubgroupSet, bits_from_ids
@@ -60,19 +60,14 @@ from .subgroup import SubgroupSet, bits_from_ids
 DEFAULT_JOIN_BUDGET = 10**7
 _CONJUGATE_CHUNK = 64  # frontier subgroups conjugated together
 
-# The join prepass (``_join_lower_bounds``) runs on a class with at least
-# _PREPASS_MIN_TARGETS targets.  Timed per class over the worklists of the 69
-# MANIFEST groups of order <= 8160 (2-core machine), prepass and fallback
-# joins against exact joins alone take 1.1-1.6x below 16 targets, 0.7-1.0x
-# at 16-31, 0.6-0.9x at 32-63 and 0.4-0.65x from 64 up.  At 64 every class
-# that runs it gains a third or more, and the small solvable groups (no
-# class over 42 targets) keep the exact path alone.
+# The join prepass (``ElementTable.join_lower_bounds``) runs on a class with
+# at least _PREPASS_MIN_TARGETS targets.  Timed per class over the worklists
+# of the 69 MANIFEST groups of order <= 8160 (2-core machine), prepass and
+# fallback joins against exact joins alone take 1.1-1.6x below 16 targets,
+# 0.7-1.0x at 16-31, 0.6-0.9x at 32-63 and 0.4-0.65x from 64 up.  At 64
+# every class that runs it gains a third or more, and the small solvable
+# groups (no class over 42 targets) keep the exact path alone.
 _PREPASS_MIN_TARGETS = 64
-_PREPASS_SEED = 20111222
-_PREPASS_SLOTS = 8  # product-replacement slots, and random elements per round
-_PREPASS_ROUNDS = 12
-_PREPASS_STALL = 2  # rounds without a new point before a target is left alone
-_PREPASS_CHUNK_BYTES = 1 << 20  # of inverse transversal rows per chunk of targets
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -192,7 +187,7 @@ class SubgroupLattice:
                 ids = np.flatnonzero(orders == o).astype(np.int32)
                 rows = T.rows[ids]
                 powers = [
-                    np.searchsorted(ids, T.lookup_rows(_power_rows(rows, k)))
+                    np.searchsorted(ids, T.lookup_rows(power_rows(rows, k)))
                     for k in units
                 ]
                 label[ids] = ids[_orbit_minima(powers, len(ids))]
@@ -202,13 +197,13 @@ class SubgroupLattice:
         below: list[list[int]] = [[] for _ in range(len(reps))]
         for p in _prime_factors(n):  # every element order divides |G|
             at = np.flatnonzero(rep_orders % p == 0)
-            sub = cls[T.lookup_rows(_power_rows(T.rows[reps[at]], p))]
+            sub = cls[T.lookup_rows(power_rows(T.rows[reps[at]], p))]
             for c, b in zip(at.tolist(), sub.tolist()):
                 below[c].append(b)
         bits = [0] * len(reps)
         for e, c in enumerate(cls.tolist()):
             bits[c] |= 1 << e  # first the generators of each class
-        for c in np.argsort(rep_orders, kind="stable").tolist():
+        for c in sorted(range(len(reps)), key=rep_orders.tolist().__getitem__):
             for d in below[c]:
                 bits[c] |= bits[d]
         raw = []
@@ -236,7 +231,7 @@ class SubgroupLattice:
             cyc = self.cyclic_subgroups()
             non_maximal = np.zeros(len(cyc), dtype=bool)
             for p in _prime_factors(T.n):
-                power = _power_rows(T.rows[T.orders % p == 0], p)
+                power = power_rows(T.rows[T.orders % p == 0], p)
                 non_maximal[self._elem_to_cyclic[T.lookup_rows(power)]] = True
             self._maximal_cyclic = [
                 S for S, dead in zip(cyc, non_maximal) if not dead
@@ -381,8 +376,8 @@ class SubgroupLattice:
         of H known at that time (see ``_join_answer``).
 
         A class with many targets first runs one random Schreier-Sims prepass
-        over all of them (``_join_lower_bounds``), which proves a lower bound
-        on every |⟨H, x⟩|.  The targets are then answered in order as before,
+        over all of them (``ElementTable.join_lower_bounds``), which proves a
+        lower bound on every |⟨H, x⟩|.  The targets are then answered in order as before,
         and a bound that passes half the order of the smallest known
         overgroup K holding x (of G when there is none) proves that the join
         is K without an exact Schreier-Sims.  The bounds are proven whatever
@@ -395,9 +390,11 @@ class SubgroupLattice:
         targets = self._targets_for(H, T.n // H.order)
         over = _Overgroups(H, recorded)
         smallest = over.smallest_containing(targets)
-        if len(targets) >= _PREPASS_MIN_TARGETS and _prepass_fits(T):
+        # a large degree (a regular representation, say) makes each target's
+        # chain too large for a chunk of targets; those joins stay exact
+        if min(len(targets), T.prepass_chunk()) >= _PREPASS_MIN_TARGETS:
             limits = np.array([K.order for K in over.groups] + [T.n])[smallest]
-            lower = _join_lower_bounds(T, H, targets, limits).tolist()
+            lower = T.join_lower_bounds(H, targets, limits).tolist()
         else:
             lower = [0] * len(targets)
         all_join_full = True
@@ -705,13 +702,14 @@ class _Overgroups:
     """The known subgroups that properly contain H, smallest first.
 
     Each is held as a row of its packed membership bytes (its key), so one
-    column gather tests an element against all of them.
+    column gather tests an element against all of them.  A last row of
+    ones stands for G, which holds every element.
     """
 
     def __init__(self, H: SubgroupSet, orbits: list[list[SubgroupSet]]):
         self.H = H
         self.groups: list[SubgroupSet] = []
-        self._rows = np.zeros((0, len(H.key)), dtype=np.uint8)
+        self._rows = np.full((1, len(H.key)), 0xFF, dtype=np.uint8)
         order = H.order
         self.add(
             K for orbit in orbits
@@ -731,143 +729,17 @@ class _Overgroups:
         ]
         if new:
             self.groups = sorted(self.groups + new, key=lambda K: K.order)
-            self._rows = np.frombuffer(
-                b"".join(K.key for K in self.groups), dtype=np.uint8
-            ).reshape(len(self.groups), -1)
+            keys = [K.key for K in self.groups] + [self._rows[-1].tobytes()]
+            self._rows = np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(
+                len(keys), -1
+            )
         return bool(new)
 
     def smallest_containing(self, xs: np.ndarray) -> np.ndarray:
         """Per element ID, the index in ``groups`` of the first (smallest)
         one that contains it, or len(groups) when none does."""
-        hit = (self._rows[:, xs >> 3] >> (xs & 7)) & 1
-        # a row of ones below the last group stands for "none"
-        hit = np.vstack([hit, np.ones((1, len(xs)), dtype=hit.dtype)])
+        hit = (self._rows[:, xs >> 3] >> (xs & 7).astype(np.uint8)) & 1
         return np.argmax(hit, axis=0)
-
-
-def _prepass_fits(T: ElementTable) -> bool:
-    """Whether a chunk of the prepass holds _PREPASS_MIN_TARGETS chains:
-    each takes L inverse rows per point (a large degree, as in a regular
-    representation, is left to the exact joins)."""
-    chain_bytes = len(T._sift_base) * T.degree * T.degree * T.rows.itemsize
-    return chain_bytes * _PREPASS_MIN_TARGETS <= _PREPASS_CHUNK_BYTES
-
-
-def _join_lower_bounds(
-    T: ElementTable, H: SubgroupSet, targets: np.ndarray, limits: np.ndarray
-) -> np.ndarray:
-    """A proven lower bound on |⟨H, x⟩| for every target x, all at once.
-
-    Random Schreier-Sims on G's own base b_0..b_{L-1}, one partial chain per
-    target: ``reached[t, i]`` marks the points of b_i's orbit found so far
-    under ⟨H, x⟩ ∩ Stab(b_0..b_{i-1}), and ``inv[t, i, β]`` holds the inverse
-    of an element of that stabilizer mapping b_i to β.  The chains start as
-    H's own chain, read off H's elements.  Random elements of every ⟨H, x⟩
-    come from product replacement on the slots H.gen_ids + [x], with one
-    seeded schedule for all targets; each is sifted into its own target's
-    chain, and where it stops at an unreached point, that point is added with
-    the sifted element as its transversal.  Products of one transversal
-    element per level are distinct elements of ⟨H, x⟩, so the product of the
-    reached counts is a lower bound on its order, however random the
-    elements were.  A target leaves the prepass once its bound passes half
-    its limit, or after _PREPASS_STALL rounds with no new point.
-    """
-    base = T._sift_base
-    L, d = len(base), T.degree
-    dtype = T.rows.dtype
-    # H's chain on G's base, one transversal element per orbit point
-    h_reached = np.zeros((L, d), dtype=bool)
-    h_inv = np.zeros((L, d, d), dtype=dtype)
-    h_rows = T.rows[H.ids]
-    fixing = np.arange(len(h_rows))
-    for i, b in enumerate(base.tolist()):
-        first = np.full(d, -1, dtype=np.intp)
-        first[h_rows[fixing, b]] = fixing
-        pts = np.flatnonzero(first >= 0)
-        h_reached[i, pts] = True
-        h_inv[i, pts] = T.rows[T.inverse[H.ids[first[pts]]]]
-        fixing = fixing[h_rows[fixing, b] == b]
-    out = np.empty(len(targets), dtype=np.int64)
-    chunk = _PREPASS_CHUNK_BYTES // h_inv.nbytes
-    for start in range(0, len(targets), chunk):
-        xs = targets[start : start + chunk]
-        out[start : start + chunk] = _sifted_bounds(
-            T, H, xs, limits[start : start + chunk], h_reached, h_inv
-        )
-    return out
-
-
-def _sifted_bounds(T, H, xs, limits, h_reached, h_inv) -> np.ndarray:
-    """``_join_lower_bounds`` for one chunk of targets.
-
-    Rows are composed as flat gathers: apply a, then b, is
-    ``b.ravel()[a + offsets]`` with row i offset by i * degree.
-    """
-    base = T._sift_base.tolist()
-    m, d = len(xs), T.degree
-    L = len(base)
-    # entry (target, level, point) of both at target * L * d + level * d + point
-    reached = np.repeat(h_reached[None], m, axis=0).reshape(-1)
-    inv = np.repeat(h_inv[None], m, axis=0).reshape(m * L * d, d)
-    bound = np.full(m, H.order, dtype=np.int64)
-    gens = [np.repeat(T.rows[g][None], m, axis=0) for g in H.gen_ids] + [T.rows[xs]]
-    slots = [gens[k % len(gens)] for k in range(max(_PREPASS_SLOTS, len(gens)))]
-    live = np.arange(m)  # the targets still in the prepass
-    stall = np.zeros(m, dtype=np.int64)
-    rng = random.Random(_PREPASS_SEED)
-    for _ in range(_PREPASS_ROUNDS):
-        offsets = np.arange(0, len(live) * d, d)[:, None]
-        elements = []
-        for _ in range(len(slots)):
-            i, j = rng.sample(range(len(slots)), 2)
-            a, b = (slots[i], slots[j]) if rng.random() < 0.5 else (slots[j], slots[i])
-            slots[i] = b.ravel()[a + offsets]
-            elements.append(slots[i])
-        start = np.tile(live * (L * d), len(elements))
-        _sift_into(np.concatenate(elements), start, base, reached, inv)
-        new = reached.reshape(m, L, d)[live].sum(axis=2).prod(axis=1)
-        stall[live] = np.where(new > bound[live], 0, stall[live] + 1)
-        bound[live] = new
-        keep = (2 * new <= limits[live]) & (stall[live] < _PREPASS_STALL)
-        if not keep.any():
-            break
-        if not keep.all():
-            live = live[keep]
-            slots = [s[keep] for s in slots]
-    return bound
-
-
-def _sift_into(rows, start, base, reached, inv) -> None:
-    """Sift each row into the chain of its target, whose entries start at
-    ``start``; where one stops at an unreached point, add the point with the
-    sifted row as its transversal.
-
-    Only the images of the base points are stripped level by level; the
-    full residue of a row is rebuilt only when it stops at a new point.
-    """
-    d = rows.shape[1]
-    img = rows[:, base].astype(np.intp)
-    alive = np.arange(len(rows))  # rows still sifting, as indices into rows
-    for lvl in range(len(base)):
-        at = start + lvl * d + img[:, 0]  # the entry of (level, point)
-        hit = reached[at]
-        if not hit.all():
-            miss = ~hit
-            res = rows[alive[miss]]
-            offsets = np.arange(0, res.size, d)[:, None]
-            for k in range(lvl):
-                # apply the residue so far, then the inverse transversal element
-                u = inv[start[miss] + k * d + res[:, base[k]]]
-                res = u.ravel()[res + offsets]
-            reached[at[miss]] = True
-            res_inv = np.empty(res.size, dtype=res.dtype)
-            res_inv[res + offsets] = np.arange(d)
-            inv[at[miss]] = res_inv.reshape(-1, d)
-            alive, start, at, img = alive[hit], start[hit], at[hit], img[hit]
-            if not len(alive):
-                return
-        # the deeper base images under the inverse of the transversal element
-        img = inv.ravel()[at[:, None] * d + img[:, 1:]].astype(np.intp)
 
 
 def _unit_generators(o: int) -> list[int]:
@@ -884,19 +756,6 @@ def _unit_generators(o: int) -> list[int]:
                 break
             reached |= more
     return gens
-
-
-def _power_rows(rows: np.ndarray, k: int) -> np.ndarray:
-    """Each image row raised to the k-th power (k >= 1), by repeated squaring."""
-    out = None
-    while True:
-        if k & 1:
-            # the powers of one element commute, so the order of the factors is free
-            out = rows if out is None else np.take_along_axis(rows, out, axis=1)
-        k >>= 1
-        if not k:
-            return out
-        rows = np.take_along_axis(rows, rows, axis=1)
 
 
 def _orbit_minima(perms: list[np.ndarray], size: int) -> np.ndarray:

@@ -23,6 +23,7 @@ from groupcover.lattice import SubgroupLattice, _chain_of_ids
 
 # the package binds the name groupcover.lattice to the function lattice()
 lattice_module = importlib.import_module("groupcover.lattice")
+group_module = importlib.import_module("groupcover.group")
 
 from conftest import brute_of, grp, manifest_upto, subgroup_ids
 from oracles import coset_closure, o_closure
@@ -520,8 +521,8 @@ def test_worklist_does_not_depend_on_the_prepass_seed(spec, min_targets, monkeyp
 
     monkeypatch.setattr(SubgroupLattice, "_join", counting)
     prints = []
-    for seed in (lattice_module._PREPASS_SEED, 1, 2):
-        monkeypatch.setattr(lattice_module, "_PREPASS_SEED", seed)
+    for seed in (group_module._PREPASS_SEED, 1, 2):
+        monkeypatch.setattr(group_module, "_PREPASS_SEED", seed)
         lat = _fresh_lattice(spec)
         prints.append(_fingerprint(lat))
     assert prints[1] == prints[0] and prints[2] == prints[0]
