@@ -418,7 +418,7 @@ class SubgroupLattice:
         chain_H: StabilizerChain,
         x: int,
         K: SubgroupSet | None,
-        lower: int = 0,
+        lower: int,
     ) -> SubgroupSet | None:
         """⟨H, x⟩ for a target x outside H, for one join: None when it is G.
 

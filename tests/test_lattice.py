@@ -446,21 +446,7 @@ def _record_join_answers(lat: SubgroupLattice, monkeypatch) -> list:
     return answers
 
 
-@pytest.mark.parametrize(
-    "spec, min_targets",
-    [
-        ("Sym(5)", None),
-        ("Alt(6)", None),
-        ("PGL2(7)", None),
-        # every class through the prepass
-        ("Sym(5)", 1),
-        ("Alt(6)", 1),
-        ("PGL2(7)", 1),
-    ],
-)
-def test_every_join_answer_is_the_generated_subgroup(spec, min_targets, monkeypatch):
-    if min_targets is not None:
-        monkeypatch.setattr(lattice_module, "_PREPASS_MIN_TARGETS", min_targets)
+def _check_join_answers(spec: str, monkeypatch) -> list:
     lat = _fresh_lattice(spec)
     T = lat.table
     answers = _record_join_answers(lat, monkeypatch)
@@ -474,8 +460,19 @@ def test_every_join_answer_is_the_generated_subgroup(spec, min_targets, monkeypa
             proper += 1
     # most proper joins are answered by a subgroup found earlier
     assert lat.joins_materialised < proper
-    if min_targets is not None:
-        assert any(p for *_, p in answers)
+    return answers
+
+
+@pytest.mark.parametrize("spec", ["Sym(5)", "Alt(6)", "PGL2(7)"])
+def test_every_join_answer_is_the_generated_subgroup(spec, monkeypatch):
+    _check_join_answers(spec, monkeypatch)
+
+
+@pytest.mark.parametrize("spec", ["Sym(5)", "Alt(6)", "PGL2(7)"])
+def test_every_join_answer_with_the_prepass_on_every_class(spec, monkeypatch):
+    monkeypatch.setattr(lattice_module, "_PREPASS_MIN_TARGETS", 1)
+    answers = _check_join_answers(spec, monkeypatch)
+    assert any(proven for *_, proven in answers)
 
 
 def test_every_m11_join_answer_is_the_generated_subgroup(monkeypatch):
