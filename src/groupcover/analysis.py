@@ -8,10 +8,14 @@ Scorza's criterion (σ = 3 exactly for groups with a Klein four-group
 quotient), the σ-elementary definition (σ drops strictly under every
 proper quotient), and the classification of σ-elementary groups by their
 covering number up to 25.
+
+No quotient group is built: σ(G/N), a C₂×C₂ quotient and a cyclic G/soc(G)
+are all read off G's own lattice and cover instance.
 """
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass, replace
 from math import factorial, lcm
 
@@ -24,10 +28,10 @@ from .cover import (
     Certificate,
     CoverInstance,
     SigmaResult,
-    build_instance,
     counting_certificate,
     enumerate_optimal_covers,
     greedy_upper_bound,
+    quotient_sigma,
     reduce as reduce_instance,
     solve_exact,
 )
@@ -110,12 +114,9 @@ def _compute_sigma(G: PermGroup, opts: SigmaOptions) -> SigmaResult:
             sigma=INFINITY,
             cover=None,
             certificates=[],
-            unique=None,
-            optimal_count=None,
-            interval=None,
-            stats={},
         )
-    ins = build_instance(G, cap=opts.cap, join_budget=opts.join_budget)
+    ins = copy(_instance(G, opts))
+    ins.forced, ins.certificates = [], []  # reduce extends these lists
     reduce_instance(ins)  # unique-coverage forcing
     upper = len(greedy_upper_bound(ins))  # greedy extends the forced set
     sigma_fn = _child_sigma_fn(opts) if opts.sigma_forcing else None
@@ -131,8 +132,6 @@ def _compute_sigma(G: PermGroup, opts: SigmaOptions) -> SigmaResult:
             sigma=None,
             cover=[],
             certificates=certificates,
-            unique=None,
-            optimal_count=None,
             interval=(e.lower or 1, e.upper if e.upper is not None else upper),
             stats={"nodes": opts.node_budget},
         )
@@ -143,9 +142,6 @@ def _compute_sigma(G: PermGroup, opts: SigmaOptions) -> SigmaResult:
         sigma=value,
         cover=[ins.describe_col(j) for j in cover_idx],
         certificates=certificates,
-        unique=None,
-        optimal_count=None,
-        interval=None,
         stats=stats,
     )
     for cert in certificates:
@@ -162,6 +158,15 @@ def _compute_sigma(G: PermGroup, opts: SigmaOptions) -> SigmaResult:
         result.stats = dict(result.stats)
         result.stats["optimal_covers"] = count
     return result
+
+
+def _instance(G: PermGroup, opts: SigmaOptions) -> CoverInstance:
+    """G's unreduced cover instance, built once and shared by σ(G), the
+    table's root bound and every σ(G/N)."""
+    lat = lattice(G, cap=opts.cap, join_budget=opts.join_budget)
+    if "instance" not in G._cache:
+        G._cache["instance"] = CoverInstance(G, lat)
+    return G._cache["instance"]
 
 
 def _best_counting_certificate(ins: CoverInstance) -> Certificate:
@@ -241,15 +246,10 @@ def _derived_of(T, gen_ids: list[int]) -> SubgroupSet:
 
 
 def has_klein_quotient(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP) -> bool:
-    """Scorza's criterion: σ(G) = 3 iff some quotient is C₂×C₂, decided by
-    the 2-rank of the abelianization."""
-    lat = lattice(G, cap=cap)
-    D = derived_subgroup(G, cap=cap)
-    if (G.order() // D.order) % 4 != 0:
-        return False
-    Q = lat.quotient(D)
-    QT = Q.table(cap)
-    return int(np.count_nonzero(QT.orders <= 2)) >= 4
+    """Scorza's criterion: σ(G) = 3 iff some quotient is C₂×C₂, that is iff
+    G/G' has 2-rank r ≥ 2, or 2^r − 1 ≥ 3 subgroups of index 2 (all maximal)."""
+    n = G.order()
+    return sum(2 * M.order == n for M in lattice(G, cap=cap).maximal_subgroups()) >= 3
 
 
 # ----------------------------------------------------------------------
@@ -259,17 +259,22 @@ def has_klein_quotient(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP) -> bool:
 def is_sigma_elementary(
     G: PermGroup, opts: SigmaOptions | None = None
 ) -> ElementaryVerdict:
-    """Does σ strictly increase under every proper quotient?"""
+    """Does σ strictly increase under every proper quotient?
+
+    The maximal subgroups of G/N are the M/N with N ≤ M maximal in G, so
+    σ(G/N) is the least number of G's maximal subgroups that contain N and
+    cover G (:func:`quotient_sigma`); no quotient group is built.
+    """
     opts = opts or SigmaOptions()
     s_G = sigma_value(G, opts)
     lat = lattice(G, cap=opts.cap, join_budget=opts.join_budget)
+    ins = None if G.is_cyclic() else _instance(G, opts)
     quotient_sigmas: dict = {}
     witness = None
     for N in lat.normal_subgroups():
         if N.order == 1:
             continue
-        Q = lat.quotient(N)
-        s_Q = sigma_value(Q, opts)
+        s_Q = INFINITY if ins is None else quotient_sigma(ins, N, opts.node_budget)
         if s_G > s_Q:
             raise InvariantError(
                 f"sigma({G.label()}) = {s_G} exceeds sigma of a quotient ({s_Q})"
@@ -335,14 +340,18 @@ def solvable_elementary_check(G: PermGroup, opts: SigmaOptions | None = None) ->
     lat = lattice(G, cap=opts.cap, join_budget=opts.join_budget)
     minimals = lat.minimal_normal_subgroups()
     soc = lat.socle()
-    over_socle = lat.quotient(soc)
-    predicted = len(minimals) == 1 and over_socle.is_cyclic()
+    # G/S is cyclic exactly when CS = G for some maximal cyclic C
+    cyclic_over_socle = any(
+        C.order * soc.order == G.order() * (C.bits & soc.bits).bit_count()
+        for C in lat.maximal_cyclic_subgroups()
+    )
+    predicted = len(minimals) == 1 and cyclic_over_socle
     verdict = is_sigma_elementary(G, opts)
     report = {
         "group": G.label(),
         "monolithic": len(minimals) == 1,
         "socle_order": soc.order,
-        "cyclic_over_socle": over_socle.is_cyclic(),
+        "cyclic_over_socle": cyclic_over_socle,
         "predicted_elementary": predicted,
         "computed_elementary": verdict.is_elementary,
         "sigma": verdict.sigma,
@@ -635,7 +644,7 @@ def _sweep_one(
 ) -> dict:
     if G.is_cyclic():
         return {"sigma": INFINITY, "elementary": False, "status": "cyclic"}
-    ins = build_instance(G, cap=opts.cap, join_budget=opts.join_budget)
+    ins = _instance(G, opts)
     avail = np.ones(len(ins.cols), dtype=bool)
     root_bound = ins.residual_lower_bound(1 << ins.table.identity_id, avail)
     if (

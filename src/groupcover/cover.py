@@ -16,6 +16,7 @@ its whole conjugacy class when it is not normal.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass, field
 from math import ceil
 
@@ -114,44 +115,41 @@ class CoverInstance:
         self.rows: list[SubgroupSet] = sorted(
             lat.maximal_cyclic_subgroups(), key=lambda s: (s.digest, s.key)
         )
-        self.cols: list[SubgroupSet] = sorted(
-            lat.maximal_subgroups(), key=lambda s: (s.digest, s.key)
-        )
-        # a cyclic subgroup lies in M exactly when its generator does:
-        # inc[i, j] is bit g_i of column j's key, g_i row i's generator
-        gens = np.array([r.gen_ids[0] for r in self.rows], dtype=np.intp)
-        keys = np.frombuffer(b"".join(M.key for M in self.cols), dtype=np.uint8)
-        member = keys.reshape(len(self.cols), -1)[:, gens >> 3]
-        member >>= (gens & 7).astype(np.uint8)
-        inc = np.ascontiguousarray((member & 1).T, dtype=bool)
-        if not inc.any(axis=1).all():
+        self.full_elem_mask = (1 << self.table.n) - 1
+        orders = self.table.orders
+        self.order_bits: dict[int, int] = {
+            k: bits_from_ids(np.nonzero(orders == k)[0])
+            for k in sorted(set(int(o) for o in orders))
+            if k != 1
+        }
+        self._set_cols(sorted(lat.maximal_subgroups(), key=lambda s: (s.digest, s.key)))
+        if not self.inc.any(axis=1).all():
             raise InvariantError(
                 "some maximal cyclic subgroup lies in no maximal subgroup"
             )
-        self.inc = inc
-        self.inc_u8 = inc.astype(np.uint8)
-        self.col_elem_bits = [M.bits for M in self.cols]
-        n = self.table.n
-        self.full_elem_mask = (1 << n) - 1
-        orders = self.table.orders
-        self.order_bits: dict[int, int] = {}
-        self.order_counts: dict[int, np.ndarray] = {}
-        for k in sorted(set(int(o) for o in orders)):
-            if k == 1:
-                continue
-            bits = bits_from_ids(np.nonzero(orders == k)[0])
-            self.order_bits[k] = bits
-            self.order_counts[k] = np.array(
-                [(bits & mb).bit_count() for mb in self.col_elem_bits],
-                dtype=np.int64,
+
+    def _set_cols(self, cols: list[SubgroupSet]) -> None:
+        """Make ``cols`` the candidate sets, none of them forced yet."""
+        self.cols = cols
+        # a cyclic subgroup lies in M exactly when its generator does:
+        # inc[i, j] is bit g_i of column j's key, g_i row i's generator
+        gens = np.array([r.gen_ids[0] for r in self.rows], dtype=np.intp)
+        keys = np.frombuffer(b"".join(M.key for M in cols), dtype=np.uint8)
+        member = keys.reshape(len(cols), len(self.rows[0].key))[:, gens >> 3]
+        member >>= (gens & 7).astype(np.uint8)
+        self.inc = np.ascontiguousarray((member & 1).T, dtype=bool)
+        self.inc_u8 = self.inc.astype(np.uint8)
+        self.col_elem_bits = [M.bits for M in cols]
+        self.order_counts: dict[int, np.ndarray] = {
+            k: np.array(
+                [(bits & mb).bit_count() for mb in self.col_elem_bits], dtype=np.int64
             )
+            for k, bits in self.order_bits.items()
+        }
         self.forced: list[int] = []
         self.certificates: list[Certificate] = []
 
     # ------------------------------------------------------------------
-
-    def col_digest(self, j: int) -> str:
-        return self.cols[j].digest
 
     def describe_col(self, j: int) -> list[str]:
         M = self.cols[j]
@@ -471,6 +469,19 @@ def solve_exact(
         "root_lower_bound": root_lb,
     }
     return sigma, cover, stats
+
+
+def quotient_sigma(
+    instance: CoverInstance, N: SubgroupSet, node_budget: int = DEFAULT_NODE_BUDGET
+):
+    """σ(G/N) for a normal N: the least number of columns M ⊇ N (the M/N
+    are the maximal subgroups of G/N) that cover every row; INFINITY when
+    some row lies in no such column, exactly when G/N is cyclic."""
+    sub = copy(instance)
+    sub._set_cols([M for M in instance.cols if N.issubset(M)])
+    if not sub.inc.any(axis=1).all():
+        return INFINITY
+    return _Search(sub, node_budget).solve()[0]
 
 
 def enumerate_optimal_covers(

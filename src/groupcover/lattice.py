@@ -548,38 +548,30 @@ class SubgroupLattice:
 
     # -- quotients ----------------------------------------------------------
 
-    def quotient_with_map(self, N: SubgroupSet):
-        """(G/N as a permutation group on right cosets, element->coset map)."""
+    def quotient(self, N: SubgroupSet) -> PermGroup:
+        """G/N as a permutation group on the right cosets of N, numbered in
+        the order of their least element IDs."""
         T = self.table
         if not self.is_normal(N):
             raise ValueError("quotient requires a normal subgroup")
-        cached = self.group._cache.setdefault("quotients", {}).get(N.key)
-        if cached is not None:
-            return cached
         coset_of = np.full(T.n, -1, dtype=np.int64)
         reps: list[int] = []
         n_ids = N.ids
         for x in range(T.n):
             if coset_of[x] >= 0:
                 continue
-            idx = len(reps)
+            coset_of[T.mul_many(n_ids, x)] = len(reps)
             reps.append(x)
-            coset_of[T.mul_many(n_ids, x)] = idx
-        degree = len(reps)
         gens = []
         for g in self.group.generators:
             gid = T.id_of_perm(g)
             images = [int(coset_of[T.mul(r, gid)]) + 1 for r in reps]
             gens.append(Permutation(images))
         name = f"{self.group.label()}/[order {N.order}]"
-        Q = PermGroup(gens, degree=degree, name=name)
+        Q = PermGroup(gens, degree=len(reps), name=name)
         if Q.order() != T.n // N.order:
             raise InvariantError("quotient order disagrees with the index")
-        self.group._cache["quotients"][N.key] = (Q, coset_of)
-        return Q, coset_of
-
-    def quotient(self, N: SubgroupSet) -> PermGroup:
-        return self.quotient_with_map(N)[0]
+        return Q
 
     # -- chief series and complements ---------------------------------------
 
@@ -670,7 +662,7 @@ class SubgroupLattice:
                 gens.append(
                     Permutation([pos[int(y)] for y in T.conj_rows(N.ids, int(h))])
                 )
-            ch = _centralizer_within(T, comp.ids, n_gens)
+            ch = (self.centralizer_of(N).bits & comp.bits).bit_count()
             X = PermGroup(
                 gens, degree=len(points), name=f"affine[{self.group.label()}]"
             )
@@ -806,16 +798,6 @@ def _is_abelian_subgroup(T: ElementTable, gen_ids: list[int]) -> bool:
         for i, a in enumerate(gen_ids)
         for b in gen_ids[i + 1 :]
     )
-
-
-def _centralizer_within(T: ElementTable, ids: np.ndarray, target_gens: list[int]) -> int:
-    """How many of the given elements centralize every target generator."""
-    count = 0
-    for g in ids:
-        g = int(g)
-        if all(T.conj(m, g) == m for m in target_gens):
-            count += 1
-    return count
 
 
 def lattice(

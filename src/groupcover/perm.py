@@ -55,10 +55,6 @@ class Permutation:
     def identity(cls, degree: int) -> "Permutation":
         return cls._from_zero(tuple(range(degree)))
 
-    @classmethod
-    def from_cycles(cls, text: str, degree: int) -> "Permutation":
-        return parse_cycles(text, degree)
-
     @property
     def degree(self) -> int:
         return len(self.zero)

@@ -137,9 +137,6 @@ class SubgroupSet:
             return []
         return [self.table.perm(int(i)) for i in self.gen_ids]
 
-    def generator_strings(self) -> list[str]:
-        return [p.cycle_string() for p in self.generator_perms()]
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SubgroupSet)

@@ -234,9 +234,13 @@ def test_quotient_map_is_homomorphism():
     G = grp("Sym(4)")
     lat = lattice(G)
     N = [N for N in lat.normal_subgroups() if N.order == 4][0]
-    Q, coset_of = lat.quotient_with_map(N)
+    Q = lat.quotient(N)
     T = G.table()
     QT = Q.table()
+    # the right cosets Nx, numbered in the order of their least element IDs
+    least = [min(T.mul(int(n), x) for n in N.ids) for x in range(T.n)]
+    firsts = sorted(set(least))
+    coset_of = [firsts.index(m) for m in least]
     reps: dict[int, int] = {}
     for x in range(T.n):
         reps.setdefault(int(coset_of[x]), x)

@@ -192,6 +192,75 @@ def test_elementary_quotient_sigmas_recorded():
         assert rec["quotient_sigma"] is INFINITY
 
 
+def _klein_by_derived_quotient(G) -> bool:
+    """C₂×C₂ is a quotient of G iff G/G' has at least four elements of order
+    at most 2: the test on the derived quotient group itself."""
+    D = derived_subgroup(G)
+    if (G.order() // D.order) % 4 != 0:
+        return False
+    QT = lattice(G).quotient(D).table()
+    return int((QT.orders <= 2).sum()) >= 4
+
+
+def test_quotient_sigmas_match_quotient_groups():
+    specs = [s for s in manifest_upto(500) if not grp(s).is_cyclic()]
+    for spec in specs + ["ASL3(2)", "PGammaL2(9)"]:
+        G = grp(spec)
+        lat = lattice(G)
+        by_digest = {N.digest: N for N in lat.normal_subgroups()}
+        v = is_sigma_elementary(G)
+        assert len(v.quotient_sigmas) == len(by_digest) - 1, spec
+        for digest, rec in v.quotient_sigmas.items():
+            want = sigma_value(lat.quotient(by_digest[digest]))
+            assert rec["quotient_sigma"] == want, (spec, rec["normal_order"])
+        assert has_klein_quotient(G) == _klein_by_derived_quotient(G), spec
+
+
+def _fresh(spec: str):
+    """A catalog group with none of the caches of the shared catalog copy."""
+    from groupcover import PermGroup
+
+    base = grp(spec)
+    return PermGroup(list(base.generators), degree=base.degree, name=spec)
+
+
+def test_quotient_facts_build_no_quotient_group(monkeypatch):
+    from groupcover.lattice import SubgroupLattice
+
+    def no_quotient(self, N):
+        raise AssertionError("a quotient group was built")
+
+    monkeypatch.setattr(SubgroupLattice, "quotient", no_quotient)
+    # the Klein answers and solvable reports that quotient groups gave
+    keys = ("monolithic", "socle_order", "cyclic_over_socle",
+            "predicted_elementary", "computed_elementary", "sigma")
+    for spec, klein, report in [
+        ("Sym(4)", False, (True, 4, False, False, False, 4)),
+        ("Dihedral(6)", True, (False, 6, True, False, False, 3)),
+        ("AGL1(16)", False, (True, 16, True, True, True, 17)),
+    ]:
+        G = _fresh(spec)
+        assert has_klein_quotient(G) == klein, spec
+        rep = solvable_elementary_check(G)
+        assert rep == {"group": spec, **dict(zip(keys, report)), "ok": True}
+        v = is_sigma_elementary(G)
+        assert (v.is_elementary, v.sigma) == (report[4], report[5]), spec
+    assert is_sigma_elementary(_fresh("Sym(4)")).quotient_sigmas == {
+        "d5c01b858b719b83": {"normal_order": 4, "quotient_sigma": 4},
+        "25f55028a1e8aab1": {"normal_order": 12, "quotient_sigma": INFINITY},
+        "2cfd140f2f1bc5b1": {"normal_order": 24, "quotient_sigma": INFINITY},
+    }
+    C6 = _fresh("Cyclic(6)")
+    v = is_sigma_elementary(C6)
+    assert not v.is_elementary and v.sigma is INFINITY
+    assert [r["normal_order"] for r in v.quotient_sigmas.values()] == [2, 3, 6]
+    assert all(r["quotient_sigma"] is INFINITY for r in v.quotient_sigmas.values())
+    assert v.witness["normal_order"] == 2
+    assert not has_klein_quotient(C6)
+    with pytest.raises(ValueError, match="abelian"):
+        solvable_elementary_check(C6)
+
+
 def test_solvable_elementary_check():
     for spec in [
         "Dihedral(5)",
