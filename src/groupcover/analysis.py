@@ -44,7 +44,6 @@ from .errors import (
 from .group import DEFAULT_ELEMENT_CAP, PermGroup, center
 from .lattice import (
     DEFAULT_JOIN_BUDGET,
-    _generator_ids,
     _is_abelian_subgroup,
     _small_generating_ids,
     generated_subgroup,
@@ -197,14 +196,14 @@ def derived_subgroup(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP) -> SubgroupSe
     """The commutator subgroup, as a subgroup set on G's element table."""
     lat = lattice(G, cap=cap)
     T = lat.table
-    return _derived_of(T, _generator_ids(G, T))
+    return _derived_of(T, T.generator_ids())
 
 
 def derived_series(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP) -> list[SubgroupSet]:
     """G ⊇ G' ⊇ G'' ⊇ … until it stabilizes."""
     lat = lattice(G, cap=cap)
     T = lat.table
-    series = [SubgroupSet(T, (1 << T.n) - 1, gen_ids=_generator_ids(G, T))]
+    series = [SubgroupSet(T, (1 << T.n) - 1, gen_ids=T.generator_ids())]
     while True:
         S = _derived_of(T, series[-1].gen_ids)
         if S.order == series[-1].order:
@@ -222,27 +221,24 @@ def is_solvable(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP) -> bool:
 def _derived_of(T, gen_ids: list[int]) -> SubgroupSet:
     """Derived subgroup of ⟨gen_ids⟩: normal closure (inside the subgroup)
     of the commutators of generator pairs."""
-    comms = set()
-    for a in gen_ids:
-        ia = int(T.inverse[a])
-        for b in gen_ids:
-            ib = int(T.inverse[b])
-            comms.add(T.mul(T.mul(ia, ib), T.mul(a, b)))
-    comms.discard(T.identity_id)
-    if not comms:
+    ids = np.asarray(gen_ids, dtype=np.intp)
+    a, b = np.repeat(ids, len(ids)), np.tile(ids, len(ids))
+    # a^-1 b^-1 a b: apply a^-1, then b^-1, then a, then b
+    comm = T.rows[T.inverse[a]]
+    for step in (T.rows[T.inverse[b]], T.rows[a], T.rows[b]):
+        comm = np.take_along_axis(step, comm, axis=1)
+    seen = np.zeros(T.n, dtype=bool)
+    seen[T.lookup_rows(comm)] = True
+    seen[T.identity_id] = False
+    if not seen.any():
         return SubgroupSet(T, 1 << T.identity_id, gen_ids=[])
     # close the seed set under conjugation by the subgroup's generators
-    orbit = sorted(comms)
-    seen = set(orbit)
-    queue = list(orbit)
-    while queue:
-        x = queue.pop()
-        for h in gen_ids:
-            c = int(T.conj(x, h))
-            if c not in seen:
-                seen.add(c)
-                queue.append(c)
-    return generated_subgroup(T, _small_generating_ids(T, sorted(seen)))
+    frontier = np.flatnonzero(seen)
+    while len(frontier):
+        images = np.concatenate([T.conj_rows(frontier, h) for h in gen_ids])
+        frontier = np.unique(images[~seen[images]])
+        seen[frontier] = True
+    return generated_subgroup(T, _small_generating_ids(T, np.flatnonzero(seen)))
 
 
 def has_klein_quotient(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP) -> bool:

@@ -23,8 +23,8 @@ from math import ceil
 import numpy as np
 
 from .errors import BudgetExhaustedError, CyclicGroupError, InvariantError
-from .group import DEFAULT_ELEMENT_CAP, PermGroup
-from .lattice import DEFAULT_JOIN_BUDGET, SubgroupLattice, generated_subgroup, lattice
+from .group import DEFAULT_ELEMENT_CAP, PermGroup, StabilizerChain
+from .lattice import DEFAULT_JOIN_BUDGET, SubgroupLattice, _subgroup_from_chain, lattice
 from .perm import parse_cycles
 from .subgroup import SubgroupSet, bits_from_ids
 
@@ -501,23 +501,20 @@ def verify_cover(G: PermGroup, subgroups, cap: int = DEFAULT_ELEMENT_CAP) -> Ver
     union = 0
     full = (1 << T.n) - 1
     for idx, gens in enumerate(subgroups):
-        ids = []
-        for g in gens:
-            p = parse_cycles(g, G.degree) if isinstance(g, str) else g
-            gid = T.id_of_perm(p)
-            if gid is None:
+        perms = [parse_cycles(g, G.degree) if isinstance(g, str) else g for g in gens]
+        for p in perms:
+            if not G.contains(p):
                 return VerifyResult(
                     False,
                     reason="generator-outside-group",
                     witness=f"subgroup {idx}: {p.cycle_string()}",
                 )
-            ids.append(gid)
-        S = generated_subgroup(T, ids)
-        if S.is_whole_group():
+        chain = StabilizerChain.build([p.zero for p in perms], G.degree)
+        if chain.order() == T.n:
             return VerifyResult(
                 False, reason="subgroup-not-proper", witness=f"subgroup {idx}"
             )
-        union |= S.bits
+        union |= _subgroup_from_chain(T, chain, None).bits
     if union != full:
         missing = (union ^ full).bit_length() - 1
         return VerifyResult(

@@ -9,8 +9,9 @@ on a fixed seed and only proves lower bounds on subgroup orders, which hold
 whatever its random elements were.
 
 Element tables assign every group element a stable integer ID: IDs follow the
-lexicographic order of the 0-based image tables, independent of how the
-closure was generated.
+lexicographic order of the 0-based image tables.  The rows are read off the
+stabilizer chain, one product of transversal elements per element, and the
+chain's sift coordinates map any row back to its ID.
 """
 
 from __future__ import annotations
@@ -182,10 +183,12 @@ class StabilizerChain:
 class ElementTable:
     """All elements of a group, indexed by lexicographic rank of image tables.
 
-    Rows map to IDs through their sift coordinates: stripping a row through
-    G's own stabilizer chain gives one basic-orbit position per level, and
-    read as a mixed-radix number those positions are a bijection from G onto
-    [0, |G|), which indexes a dense slot array.
+    The rows are the products of one transversal element per level of G's
+    stabilizer chain, sorted.  Rows map to IDs through their sift
+    coordinates: stripping a row through the same chain gives one
+    basic-orbit position per level, and read as a mixed-radix number those
+    positions are a bijection from G onto [0, |G|), which indexes a dense
+    slot array.  Every ID lookup, one row or many, goes through that array.
     """
 
     def __init__(self, group: "PermGroup"):
@@ -193,22 +196,25 @@ class ElementTable:
         self.group = group
         self.degree = group.degree
         self.n = order
-        rows = _closure_rows(
-            [g.zero for g in group.generators], self.degree, order
-        )
+        rows = chain_rows(group.chain, np.int8 if self.degree <= 120 else np.int16)
         rows = rows[np.lexsort(rows.T[::-1])]
         self.rows = rows
-        self.id_of: dict[bytes, int] = {
-            rows[i].tobytes(): i for i in range(order)
-        }
-        self.identity_id = self.id_of[
-            np.arange(self.degree, dtype=rows.dtype).tobytes()
-        ]
+        self.identity_id = 0  # the identity row is the lexicographically least
         self._sift_base, self._sift_levels = _sift_index(group.chain, rows.dtype)
         self._slot = np.full(order, -1, dtype=np.int32)
         self._slot[self._sift_keys(rows)] = np.arange(order, dtype=np.int32)
         if (self._slot < 0).any():
             raise AssertionError("sift keys of the element rows collide")
+        # The chain products lie in ⟨gens⟩ and hold the identity, so rows
+        # closed under every generator are all of ⟨gens⟩: a chain that
+        # lists a proper subgroup fails here.
+        for k, g in enumerate(group.generators):
+            try:
+                self.lookup_rows(np.array(g.zero, dtype=rows.dtype)[rows])
+            except KeyError:
+                raise AssertionError(
+                    f"the {order} chain elements are not closed under generator {k}"
+                ) from None
         self.orders = _element_orders(rows)
         self.inverse = self.lookup_rows(np.argsort(rows, axis=1).astype(rows.dtype))
         self._conj_by_gen: list[np.ndarray] | None = None
@@ -244,11 +250,27 @@ class ElementTable:
         return ids
 
     def id_of_row(self, row: np.ndarray) -> int | None:
-        return self.id_of.get(np.ascontiguousarray(row, dtype=self.rows.dtype).tobytes())
+        """ID of one image row; None when it is not an element of G."""
+        row = np.asarray(row)
+        if row.shape != (self.degree,):
+            return None
+        try:
+            return int(self.lookup_rows(row[None, :])[0])
+        except (KeyError, IndexError):  # IndexError: a point out of range
+            return None
+
+    def id_of_perm(self, p: Permutation) -> int | None:
+        return self.id_of_row(np.array(p.zero))
+
+    def generator_ids(self) -> list[int]:
+        """IDs of the group's own generators, in their order."""
+        gens = [g.zero for g in self.group.generators]
+        mat = np.array(gens, dtype=self.rows.dtype).reshape(len(gens), self.degree)
+        return self.lookup_rows(mat).tolist()
 
     def mul(self, a: int, b: int) -> int:
         """ID of the product: apply a, then b."""
-        return self.id_of[self.rows[b][self.rows[a]].tobytes()]
+        return int(self.mul_many([a], b)[0])
 
     def mul_many(self, ids: np.ndarray, b: int) -> np.ndarray:
         """Apply each of ids, then b."""
@@ -265,40 +287,26 @@ class ElementTable:
         return self.lookup_rows(self.rows[g][mid])
 
     def conj(self, x: int, g: int) -> int:
-        ginv = self.rows[self.inverse[g]]
-        return self.id_of[self.rows[g][self.rows[x][ginv]].tobytes()]
+        return int(self.conj_rows([x], g)[0])
 
     def power(self, a: int, k: int) -> int:
         if k < 0:
             a, k = int(self.inverse[a]), -k
-        result = self.identity_id
-        while k:
-            if k & 1:
-                result = self.mul(result, a)
-            a = self.mul(a, a)
-            k >>= 1
-        return result
+        if k == 0:
+            return self.identity_id
+        return int(self.lookup_rows(power_rows(self.rows[[a]], k))[0])
 
     def conj_by_gen(self) -> list[np.ndarray]:
         """Per group generator, the full conjugation table id -> id."""
         if self._conj_by_gen is None:
             all_ids = np.arange(self.n, dtype=np.int32)
-            tables = []
-            for g in self.group.generators:
-                gid = self.id_of[
-                    np.array(g.zero, dtype=self.rows.dtype).tobytes()
-                ]
-                tables.append(self.conj_rows(all_ids, gid))
-            self._conj_by_gen = tables
+            self._conj_by_gen = [
+                self.conj_rows(all_ids, g) for g in self.generator_ids()
+            ]
         return self._conj_by_gen
 
     def perm(self, i: int) -> Permutation:
         return Permutation._from_zero(tuple(int(x) for x in self.rows[i]))
-
-    def id_of_perm(self, p: Permutation) -> int | None:
-        return self.id_of.get(
-            np.array(p.zero, dtype=self.rows.dtype).tobytes()
-        )
 
     def prepass_chunk(self) -> int:
         """How many targets one chunk of ``join_lower_bounds`` holds: each
@@ -451,29 +459,15 @@ def power_rows(rows: np.ndarray, k: int) -> np.ndarray:
         rows = np.take_along_axis(rows, rows, axis=1)
 
 
-def _closure_rows(gens0: list[tuple[int, ...]], degree: int, order: int) -> np.ndarray:
-    """All elements as image rows, by breadth-first closure under the generators."""
-    dtype = np.int8 if degree <= 120 else np.int16
-    ident = np.arange(degree, dtype=dtype)
-    seen = {ident.tobytes()}
-    gen_rows = [np.array(g, dtype=dtype) for g in gens0]
-    frontier = [ident]
-    while frontier:
-        block = np.array(frontier)
-        new: list[np.ndarray] = []
-        for g in gen_rows:
-            for r in g[block]:
-                b = r.tobytes()
-                if b not in seen:
-                    seen.add(b)
-                    new.append(r)
-        frontier = new
-    mat = np.frombuffer(b"".join(sorted(seen)), dtype=dtype).reshape(-1, degree)
-    if mat.shape[0] != order:
-        raise AssertionError(
-            f"closure found {mat.shape[0]} elements, chain order is {order}"
-        )
-    return mat.copy()
+def chain_rows(chain: StabilizerChain, dtype) -> np.ndarray:
+    """Every element of the chain's group as an image row, in no set order:
+    the products of one transversal element per level, each distinct."""
+    rows = np.arange(chain.degree, dtype=dtype)[None, :]
+    for lvl in reversed(chain.levels):
+        us = np.array([lvl.transversal[b] for b in lvl.orbit], dtype=dtype)
+        # compose(e, u): apply e then u, i.e. u[e], for every pair
+        rows = us[:, rows].reshape(-1, chain.degree)
+    return rows
 
 
 def _element_orders(rows: np.ndarray) -> np.ndarray:

@@ -52,6 +52,7 @@ from .group import (
     ElementTable,
     PermGroup,
     StabilizerChain,
+    chain_rows,
     power_rows,
 )
 from .perm import Permutation
@@ -94,22 +95,11 @@ def _chain_of_ids(table: ElementTable, gen_ids) -> StabilizerChain:
     )
 
 
-def _chain_element_rows(chain: StabilizerChain, table: ElementTable) -> np.ndarray:
-    """Every element of the chain's group as an image row (order unspecified)."""
-    dtype = table.rows.dtype
-    rows = np.arange(table.degree, dtype=dtype)[None, :]
-    for lvl in reversed(chain.levels):
-        us = np.array([lvl.transversal[b] for b in lvl.orbit], dtype=dtype)
-        # compose(e, u): apply e then u, i.e. u[e], for every pair
-        rows = us[:, rows].reshape(-1, table.degree)
-    return rows
-
-
 def _subgroup_from_chain(
-    table: ElementTable, chain: StabilizerChain, gen_ids: list[int]
+    table: ElementTable, chain: StabilizerChain, gen_ids: list[int] | None
 ) -> SubgroupSet:
     mask = np.zeros(table.n, dtype=bool)
-    mask[table.lookup_rows(_chain_element_rows(chain, table))] = True
+    mask[table.lookup_rows(chain_rows(chain, table.rows.dtype))] = True
     S = SubgroupSet.from_mask(table, mask, gen_ids=gen_ids)
     if S.order != chain.order():
         raise InvariantError("materialized subgroup order disagrees with its chain")
@@ -499,9 +489,7 @@ class SubgroupLattice:
         """
         if self._normals is None:
             T = self.table
-            whole = SubgroupSet(
-                T, (1 << T.n) - 1, gen_ids=_generator_ids(self.group, T)
-            )
+            whole = SubgroupSet(T, (1 << T.n) - 1, gen_ids=T.generator_ids())
             whole.is_normal = True
             normals = [S for S in self.all_subgroups() if S.is_normal]
             self._normals = sorted(normals + [whole], key=lambda s: s.key)
@@ -562,11 +550,10 @@ class SubgroupLattice:
                 continue
             coset_of[T.mul_many(n_ids, x)] = len(reps)
             reps.append(x)
-        gens = []
-        for g in self.group.generators:
-            gid = T.id_of_perm(g)
-            images = [int(coset_of[T.mul(r, gid)]) + 1 for r in reps]
-            gens.append(Permutation(images))
+        gens = [
+            Permutation((coset_of[T.mul_many(reps, gid)] + 1).tolist())
+            for gid in T.generator_ids()
+        ]
         name = f"{self.group.label()}/[order {N.order}]"
         Q = PermGroup(gens, degree=len(reps), name=name)
         if Q.order() != T.n // N.order:
@@ -768,17 +755,6 @@ def _orbit_minima(perms: list[np.ndarray], size: int) -> np.ndarray:
         label = new
 
 
-def _generator_ids(G: PermGroup, T: ElementTable) -> list[int]:
-    """Table IDs of G's own generators."""
-    ids = []
-    for g in G.generators:
-        gid = T.id_of_perm(g)
-        if gid is None:
-            raise InvariantError("group generator missing from its own table")
-        ids.append(gid)
-    return ids
-
-
 def _small_generating_ids(T: ElementTable, ids) -> list[int]:
     """A short generating list for the subgroup formed by the given IDs."""
     chain = StabilizerChain(T.degree)
@@ -793,11 +769,10 @@ def _small_generating_ids(T: ElementTable, ids) -> list[int]:
 
 
 def _is_abelian_subgroup(T: ElementTable, gen_ids: list[int]) -> bool:
-    return all(
-        T.mul(a, b) == T.mul(b, a)
-        for i, a in enumerate(gen_ids)
-        for b in gen_ids[i + 1 :]
-    )
+    rows = T.rows[np.asarray(gen_ids, dtype=np.intp)]
+    # [i, j] is the row of "apply gen i, then gen j"
+    prods = rows[np.arange(len(rows))[None, :, None], rows[:, None, :]]
+    return bool((prods == prods.transpose(1, 0, 2)).all())
 
 
 def lattice(

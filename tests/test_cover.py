@@ -186,6 +186,10 @@ def test_verify_rejects_improper_member():
     gens = [g.cycle_string() for g in G.generators]
     res = verify_cover(G, [gens])
     assert not res.ok and res.reason == "subgroup-not-proper"
+    # subgroups are checked in order: G itself first, a foreign generator next
+    res = verify_cover(G, [gens, ["(1 2)"]])
+    assert not res.ok and res.reason == "subgroup-not-proper"
+    assert res.witness == "subgroup 0"
 
 
 def test_verify_rejects_uncovered():
@@ -203,9 +207,14 @@ def test_verify_rejects_uncovered():
 
 
 def test_verify_rejects_foreign_generator():
+    from groupcover import parse_cycles
+
     G = grp("Alt(5)")
     res = verify_cover(G, [["(1 2)"]])  # odd permutation, not in Alt(5)
     assert not res.ok and res.reason == "generator-outside-group"
+    res = verify_cover(G, [[parse_cycles("(1 2 3)", 6)]])  # another degree
+    assert not res.ok and res.reason == "generator-outside-group"
+    assert res.witness == "subgroup 0: (1 2 3)"
 
 
 def test_forced_columns_appear_in_every_optimal_cover():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from groupcover import (
+    MANIFEST,
     CapExceededError,
     PermGroup,
     Permutation,
@@ -112,7 +113,8 @@ def test_element_table_arithmetic_matches_oracle():
             assert T.mul(a, b) == want
     for a in range(T.n):
         assert T.orders[a] == o_order(elems[a])
-        assert T.mul(a, int(T.inv[a]) if hasattr(T, "inv") else T.power(a, T.orders[a] - 1)) == 0
+        assert T.mul(a, int(T.inverse[a])) == T.identity_id
+        assert T.mul(int(T.inverse[a]), a) == T.identity_id
         assert T.power(a, T.orders[a]) == 0
 
 
@@ -217,6 +219,38 @@ def test_id_of_perm():
     assert T.id_of_perm(parse_cycles("(1 2 3)", 3)) is not None
     H = grp("Alt(4)")
     assert H.table().id_of_perm(parse_cycles("(1 2)", 4)) is None
+    assert T.id_of_perm(parse_cycles("(1 2 3)", 4)) is None  # another degree
+    assert T.id_of_perm(parse_cycles("()", 4)) is None
+
+
+def test_id_of_row_rejects_rows_that_are_not_permutations():
+    T = grp("Sym(4)").table()
+    for row in ([0, 0, 1, 2], [3, 3, 3, 3], [0, 1, 2, 4], [0, 1, 2], [0, 1, 2, 3, 4]):
+        assert T.id_of_row(np.array(row)) is None, row
+    assert T.id_of_row(np.array([0, 1, 2, 3])) == T.identity_id
+
+
+def test_element_table_rejects_a_chain_of_a_proper_subgroup():
+    G = PermGroup(grp("Sym(4)").generators, degree=4)  # not the cached group
+    first = G.generators[0]
+    G._chain = StabilizerChain.build([first.zero], G.degree)
+    assert G.order() == first.order() < 24
+    with pytest.raises(AssertionError):
+        G.table()
+
+
+_REFERENCE_TABLES = [
+    s for s in MANIFEST if grp(s).order() <= 500
+] + ["Cyclic(1)", "ASL3(2)/2^3"]
+
+
+@pytest.mark.parametrize("which", _REFERENCE_TABLES)
+def test_element_table_matches_closure_oracle(which):
+    T = _asl32_quotient_table() if which == "ASL3(2)/2^3" else grp(which).table()
+    gens = [g.zero for g in T.group.generators]
+    want = sorted(o_closure(gens, T.degree))
+    assert [tuple(r) for r in T.rows.tolist()] == want  # rows are sorted already
+    assert T.orders.tolist() == [o_order(e) for e in want]
 
 
 def test_cap_enforced():
