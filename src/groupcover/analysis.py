@@ -641,8 +641,9 @@ def _sweep_one(
     if G.is_cyclic():
         return {"sigma": INFINITY, "elementary": False, "status": "cyclic"}
     ins = _instance(G, opts)
-    avail = np.ones(len(ins.cols), dtype=bool)
-    root_bound = ins.residual_lower_bound(1 << ins.table.identity_id, avail)
+    root_bound = ins.residual_lower_bound(
+        1 << ins.table.identity_id, (1 << len(ins.cols)) - 1
+    )
     if (
         root_bound is not None
         and root_bound > max_sum

@@ -12,13 +12,18 @@ disjoint.  Reduction forces columns by unique coverage and (optionally) by
 the classical forcing rule: a maximal subgroup whose own covering number
 exceeds an upper bound for σ(G) lies in every minimal cover, and with it
 its whole conjugacy class when it is not normal.
+
+The search runs on Python int bitsets built once per instance: each
+column's rows, each row's columns, and per element order the columns by
+count.  A node then costs one pass over its live columns plus a few int
+operations; the incidence matrix ``inc`` serves reduction and the greedy
+upper bound, which run once per instance.
 """
 
 from __future__ import annotations
 
 from copy import copy
 from dataclasses import dataclass, field
-from math import ceil
 
 import numpy as np
 
@@ -119,7 +124,7 @@ class CoverInstance:
         orders = self.table.orders
         self.order_bits: dict[int, int] = {
             k: bits_from_ids(np.nonzero(orders == k)[0])
-            for k in sorted(set(int(o) for o in orders))
+            for k in np.unique(orders).tolist()
             if k != 1
         }
         self._set_cols(sorted(lat.maximal_subgroups(), key=lambda s: (s.digest, s.key)))
@@ -138,14 +143,23 @@ class CoverInstance:
         member = keys.reshape(len(cols), len(self.rows[0].key))[:, gens >> 3]
         member >>= (gens & 7).astype(np.uint8)
         self.inc = np.ascontiguousarray((member & 1).T, dtype=bool)
-        self.inc_u8 = self.inc.astype(np.uint8)
+        # the same incidence as Python int bitsets, for the search:
+        # col_rows[j] holds bit i when row i lies in column j, and
+        # row_cols[i] holds bit j likewise
+        self.col_rows = _int_bitsets(self.inc.T)
+        self.row_cols = _int_bitsets(self.inc)
         self.col_elem_bits = [M.bits for M in cols]
-        self.order_counts: dict[int, np.ndarray] = {
-            k: np.array(
-                [(bits & mb).bit_count() for mb in self.col_elem_bits], dtype=np.int64
-            )
-            for k, bits in self.order_bits.items()
-        }
+        # per element order k: each column's count of order-k elements, the
+        # columns by descending count (lowest index first on ties), and the
+        # mask of columns holding at least one
+        self.order_counts: dict[int, list[int]] = {}
+        self.order_by_count: dict[int, list[int]] = {}
+        self.order_cols: dict[int, int] = {}
+        for k, bits in self.order_bits.items():
+            counts = [(bits & mb).bit_count() for mb in self.col_elem_bits]
+            self.order_counts[k] = counts
+            self.order_by_count[k] = sorted(range(len(cols)), key=lambda j: -counts[j])
+            self.order_cols[k] = sum(1 << j for j, n in enumerate(counts) if n)
         self.forced: list[int] = []
         self.certificates: list[Certificate] = []
 
@@ -155,33 +169,55 @@ class CoverInstance:
         M = self.cols[j]
         return [p.cycle_string() for p in M.generator_perms()]
 
-    def residual_lower_bound(self, covered_elems: int, avail: np.ndarray):
+    def residual_lower_bound(self, covered_elems: int, avail: int):
         """A lower bound on how many more columns any completion needs.
 
-        Counting bounds per element order, summed over a greedy family of
-        orders whose available covering columns are pairwise disjoint.
-        Returns None when some order has uncovered elements but no
-        available column at all.
+        ``avail`` is the int mask of the available columns.  Counting bounds
+        per element order, summed over a greedy family of orders whose
+        available covering columns are pairwise disjoint.  Returns None when
+        some order has uncovered elements but no available column at all.
         """
+        uncovered = self.full_elem_mask ^ covered_elems
         per_k = []
         for k, bits in self.order_bits.items():
-            missing = (bits & (self.full_elem_mask ^ covered_elems)).bit_count()
+            missing = (bits & uncovered).bit_count()
             if missing == 0:
                 continue
-            counts = self.order_counts[k]
-            m = int(counts[avail].max()) if avail.any() else 0
+            m = 0
+            for j in self.order_by_count[k]:
+                if avail >> j & 1:
+                    m = self.order_counts[k][j]
+                    break
             if m == 0:
                 return None
-            per_k.append((-ceil(missing / m), k, counts))
-        per_k.sort(key=lambda t: (t[0], t[1]))
-        used = np.zeros(len(self.cols), dtype=bool)
+            per_k.append((-(missing // -m), k))
+        per_k.sort(key=lambda t: (-t[0], t[1]))
+        used = 0
         total = 0
-        for negb, _k, counts in per_k:
-            colset = (counts > 0) & avail
-            if not (colset & used).any():
-                total += -negb
+        for bound, k in per_k:
+            colset = self.order_cols[k] & avail
+            if not colset & used:
+                total += bound
                 used |= colset
         return total
+
+
+def _int_bitsets(mat: np.ndarray) -> list[int]:
+    """Each row of a bool matrix as an int: bit j is set when entry j is."""
+    packed = np.packbits(mat, axis=1, bitorder="little")
+    data, width = packed.tobytes(), packed.shape[1]
+    return [
+        int.from_bytes(data[i * width : (i + 1) * width], "little")
+        for i in range(len(packed))
+    ]
+
+
+def _bit_indices(mask: int):
+    """The positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def build_instance(
@@ -204,7 +240,7 @@ def counting_certificate(instance: CoverInstance, k: int) -> Certificate:
         n_k = m_k = 1  # the identity, which every subgroup holds
     elif k in instance.order_bits:
         n_k = instance.order_bits[k].bit_count()
-        m_k = int(instance.order_counts[k].max())
+        m_k = max(instance.order_counts[k])
     else:
         raise ValueError(f"{instance.group.label()} has no elements of order {k}")
     return Certificate(
@@ -317,7 +353,14 @@ def _bound_repr(x):
 
 
 class _Search:
-    """Branch-and-bound over the instance; also enumerates all optima."""
+    """Branch-and-bound over the instance; also enumerates all optima.
+
+    The search runs on the instance's int bitsets, built once per instance:
+    a node holds its covered rows, covered elements and available columns as
+    int masks.  A column chosen by in-node forcing stays available, as the
+    bounds count it; a branched column leaves the mask of its own subtree
+    and of every later sibling.
+    """
 
     def __init__(self, instance: CoverInstance, node_budget: int):
         self.ins = instance
@@ -328,6 +371,7 @@ class _Search:
         self.solutions: list[tuple[int, ...]] | None = None
         self.solution_limit = 0
         self.root_lb = 0
+        self.all_rows = (1 << len(instance.rows)) - 1
 
     # ----- shared machinery
 
@@ -343,84 +387,107 @@ class _Search:
 
     def _start_state(self):
         ins = self.ins
-        R, C = ins.inc.shape
-        covered = np.zeros(R, dtype=bool)
-        avail = np.ones(C, dtype=bool)
+        covered = 0
+        avail = (1 << len(ins.cols)) - 1
         elems = 1 << ins.table.identity_id
         chosen: list[int] = []
         for j in ins.forced:
             chosen.append(j)
-            covered |= ins.inc[:, j]
+            covered |= ins.col_rows[j]
             elems |= ins.col_elem_bits[j]
-        return covered, elems, avail, chosen
+        return covered, elems, avail, range(len(ins.cols)), chosen
 
-    def _lower(self, covered_elems, avail, covered_rows):
+    def _scan(self, uncov: int, avail: int, live):
+        """One pass over the available columns in ``live``: the uncovered
+        rows that lie in at least one, two and three of them, the most
+        uncovered rows any one of them holds, and the ones that hold one.
+
+        ``live`` lists every available column that holds an uncovered row;
+        as covered rows only grow, the returned list serves every
+        descendant node."""
+        col_rows = self.ins.col_rows
+        one = two = three = most = 0
+        held = []
+        for c in live:
+            if avail >> c & 1:
+                r = col_rows[c] & uncov
+                if r:
+                    held.append(c)
+                    three |= two & r
+                    two |= one & r
+                    one |= r
+                    n = r.bit_count()
+                    if n > most:
+                        most = n
+        return one, two, three, most, held
+
+    def _lower(self, covered_elems: int, avail: int, uncov: int, most: int):
         lb = self.ins.residual_lower_bound(covered_elems, avail)
-        if lb is None:
+        if lb is None or not uncov:
+            return lb
+        if most == 0:
             return None
-        uncov = ~covered_rows
-        k = int(np.count_nonzero(uncov))
-        if k:
-            percol = self.ins.inc_u8[uncov].sum(axis=0)
-            percol[~avail] = 0
-            m = int(percol.max())
-            if m == 0:
-                return None
-            lb = max(lb, ceil(k / m), 1)
-        return lb
+        return max(lb, -(uncov.bit_count() // -most), 1)
 
-    def _dfs(self, covered_rows, covered_elems, avail, chosen):
+    def _dfs(self, covered_rows, covered_elems, avail, live, chosen):
         self._spend_node()
         ins = self.ins
+        col_rows, row_cols = ins.col_rows, ins.row_cols
         # in-node forcing: rows with a single available column
         while True:
-            uncov_idx = np.nonzero(~covered_rows)[0]
-            if uncov_idx.size == 0:
+            uncov = self.all_rows ^ covered_rows
+            if not uncov:
                 self._record(chosen)
                 return
-            counts = ins.inc_u8[uncov_idx] @ avail.astype(np.uint8)
-            if (counts == 0).any():
+            one, two, three, most, live = self._scan(uncov, avail, live)
+            if uncov != one:  # a row in no available column
                 return
-            lb = self._lower(covered_elems, avail, covered_rows)
+            lb = self._lower(covered_elems, avail, uncov, most)
             if lb is None or len(chosen) + lb > self.allow:
                 return
-            ones = uncov_idx[counts == 1]
-            if ones.size == 0:
+            ones = uncov & ~two
+            if not ones:
                 break
-            forced_cols = sorted(
-                {int(np.argmax(ins.inc[i] & avail)) for i in ones}
-            )
-            if len(chosen) + len(forced_cols) > self.allow:
+            forced = []
+            while ones:
+                i = (ones & -ones).bit_length() - 1
+                cols = row_cols[i] & avail
+                c = (cols & -cols).bit_length() - 1
+                forced.append(c)
+                ones &= ~col_rows[c]
+            if len(chosen) + len(forced) > self.allow:
                 return
-            for c in forced_cols:
+            for c in sorted(forced):
                 chosen.append(c)
-                covered_rows = covered_rows | ins.inc[:, c]
+                covered_rows |= col_rows[c]
                 covered_elems |= ins.col_elem_bits[c]
-        # branch on the uncovered row with fewest available columns
-        pivot = int(uncov_idx[int(np.argmin(counts))])
-        cands = np.nonzero(ins.inc[pivot] & avail)[0]
-        covg = ins.inc_u8[~covered_rows][:, cands].sum(axis=0)
-        order = sorted(range(len(cands)), key=lambda t: (-int(covg[t]), int(cands[t])))
-        avail_here = avail.copy()
-        for t in order:
-            c = int(cands[t])
+        # branch on the first uncovered row with fewest available columns
+        pairs = two & ~three
+        if pairs:
+            pivot = (pairs & -pairs).bit_length() - 1
+        else:
+            pivot = min(_bit_indices(uncov), key=lambda i: (row_cols[i] & avail).bit_count())
+        cands = sorted(
+            _bit_indices(row_cols[pivot] & avail),
+            key=lambda c: (-(col_rows[c] & uncov).bit_count(), c),
+        )
+        for c in cands:
             if len(chosen) + 1 > self.allow:
                 break
-            branch_avail = avail_here.copy()
-            branch_avail[c] = False  # c is decided inside this branch
+            avail &= ~(1 << c)  # c is decided here; later branches avoid it
             self._dfs(
-                covered_rows | ins.inc[:, c],
+                covered_rows | col_rows[c],
                 covered_elems | ins.col_elem_bits[c],
-                branch_avail,
+                avail,
+                live,
                 chosen + [c],
             )
-            avail_here[c] = False  # later branches must avoid c entirely
             if self.solutions is not None and len(self.solutions) > self.solution_limit:
                 return
 
     def _record(self, chosen):
         if self.solutions is not None:
-            if len(chosen) == self.allow or len(chosen) < self.allow:
+            if len(chosen) <= self.allow:
                 self.solutions.append(tuple(sorted(chosen)))
             return
         if self.best is None or len(chosen) < len(self.best):
@@ -433,22 +500,22 @@ class _Search:
         ins = self.ins
         incumbent = greedy_upper_bound(ins)
         self.best = incumbent
-        covered, elems, avail, chosen = self._start_state()
-        lb0 = self._lower(elems, avail, covered)
+        covered, elems, avail, live, chosen = self._start_state()
+        uncov = self.all_rows ^ covered
+        lb0 = self._lower(elems, avail, uncov, self._scan(uncov, avail, live)[3])
         if lb0 is None:
             raise InvariantError("instance admits no cover at the root")
-        self.root_lb = len(chosen) + lb0 if not covered.all() else len(chosen)
+        self.root_lb = len(chosen) + lb0 if uncov else len(chosen)
         self.allow = len(self.best) - 1
         if self.root_lb <= self.allow:
-            self._dfs(covered, elems, avail, chosen)
+            self._dfs(covered, elems, avail, live, chosen)
         return len(self.best), self.best, self.root_lb
 
     def enumerate(self, sigma: int, limit: int) -> tuple[object, list[tuple[int, ...]], bool]:
         self.solutions = []
         self.solution_limit = limit
         self.allow = sigma
-        covered, elems, avail, chosen = self._start_state()
-        self._dfs(covered, elems, avail, chosen)
+        self._dfs(*self._start_state())
         sols = sorted(set(self.solutions))
         if len(sols) > limit:
             return f">={limit + 1}", sols[:limit], False
@@ -479,7 +546,7 @@ def quotient_sigma(
     some row lies in no such column, exactly when G/N is cyclic."""
     sub = copy(instance)
     sub._set_cols([M for M in instance.cols if N.issubset(M)])
-    if not sub.inc.any(axis=1).all():
+    if not all(sub.row_cols):
         return INFINITY
     return _Search(sub, node_budget).solve()[0]
 

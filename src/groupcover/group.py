@@ -471,26 +471,23 @@ def chain_rows(chain: StabilizerChain, dtype) -> np.ndarray:
 
 
 def _element_orders(rows: np.ndarray) -> np.ndarray:
-    n, deg = rows.shape
-    out = np.empty(n, dtype=np.int32)
-    from math import lcm
+    """Each row's order: the lcm of its points' cycle lengths.
 
-    for i in range(n):
-        row = rows[i]
-        seen = [False] * deg
-        o = 1
-        for s in range(deg):
-            if seen[s]:
-                continue
-            length = 0
-            x = s
-            while not seen[x]:
-                seen[x] = True
-                x = int(row[x])
-                length += 1
-            o = lcm(o, length)
-        out[i] = o
-    return out
+    Every point of every row moves on together, one gather per step over
+    the flattened rows, and its cycle length is the first step at which it
+    is back home; the loop ends when every cycle has closed.
+    """
+    n, deg = rows.shape
+    step = (rows + np.arange(0, n * deg, deg)[:, None]).ravel()  # flat index of π(p)
+    home = np.arange(n * deg)
+    cycle = np.zeros(n * deg, dtype=np.int32)
+    img, length = step, 1
+    while True:
+        cycle[(img == home) & (cycle == 0)] = length
+        if cycle.all():
+            return np.lcm.reduce(cycle.reshape(n, deg), axis=1)
+        img = step[img]
+        length += 1
 
 
 class PermGroup:

@@ -145,6 +145,47 @@ def test_node_budget_exhaustion_yields_interval():
     assert err.value.lower <= 10 <= err.value.upper
 
 
+# (spec, solve nodes, solve cover, interval at nodes - 1, enumerate nodes,
+#  optimal covers, sha256 prefix of repr(covers)), on the instance as σ
+# reduces it; any change to the branch-and-bound tree moves one of these
+SEARCH_TREE_PINS = [
+    ("Alt(6)", 5210, [1, 7, 8, 11, 13, 14, 17, 19, 26, 28, 30, 33, 36, 37, 42, 50],
+     (11, 16), 9012, 2, "94bf967fed6b2e6e"),
+    ("PSL2(9)", 5109, [1, 5, 6, 7, 9, 10, 16, 19, 20, 27, 34, 36, 39, 41, 47, 49],
+     (11, 16), 8898, 2, "ff651fabb4a57fd7"),
+    ("Sym(6)", 90, [4, 6, 9, 11, 20, 23, 29, 34, 38, 43, 45, 48, 50],
+     (10, 13), 311, 1, "a88039ce08524fd2"),
+    ("PGL2(7)", 58, [2, 3, 6, 7, 8, 9, 10, 12, 13, 16, 17, 18, 19, 20, 24, 27, 28,
+                     30, 31, 34, 37, 40, 42, 43, 45, 46, 48, 51, 57],
+     (26, 29), 188, 37, "4892c02f2e7e32b8"),
+    ("ASL3(2)", 3106, [0, 1, 2, 4, 5, 6, 8, 9, 11, 13, 17, 26, 28, 32, 34],
+     (8, 15), 6749, 34, "7d756210c12f5542"),
+]
+
+
+@pytest.mark.parametrize(
+    "spec,nodes,cover,interval,enum_nodes,count,digest",
+    SEARCH_TREE_PINS,
+    ids=[p[0] for p in SEARCH_TREE_PINS],
+)
+def test_search_tree_is_pinned(spec, nodes, cover, interval, enum_nodes, count, digest):
+    import hashlib
+
+    ins = build_instance(grp(spec))
+    reduce_instance(ins)
+    reduce_instance(ins, upper_bound=len(greedy_upper_bound(ins)))
+    sigma, got, stats = solve_exact(ins)
+    assert (stats["nodes"], got, sigma) == (nodes, cover, len(cover))
+    with pytest.raises(BudgetExhaustedError) as err:
+        solve_exact(ins, node_budget=nodes - 1)
+    assert (err.value.lower, err.value.upper) == interval
+    with pytest.raises(BudgetExhaustedError):
+        enumerate_optimal_covers(ins, sigma, node_budget=enum_nodes - 1)
+    n, covers, exact = enumerate_optimal_covers(ins, sigma, node_budget=enum_nodes)
+    assert exact and n == count == len(covers)
+    assert hashlib.sha256(repr(covers).encode()).hexdigest()[:16] == digest
+
+
 def test_enumerate_alt5_optimal_covers():
     ins = build_instance(grp("Alt(5)"))
     sigma, cover, _ = solve_exact(ins)
@@ -230,11 +271,8 @@ def test_forced_columns_appear_in_every_optimal_cover():
 
 def test_residual_lower_bound_additivity():
     """Counting bounds over disjoint column families add up."""
-    import numpy as np
-
     ins = build_instance(grp("Alt(7)"))
-    avail = np.ones(len(ins.cols), dtype=bool)
-    root = ins.residual_lower_bound(1, avail)  # identity element covered
+    root = ins.residual_lower_bound(1, (1 << len(ins.cols)) - 1)  # identity element covered
     # order-7 elements alone force 15; order-6 elements add 11 more
     assert root >= 26
 
