@@ -124,7 +124,7 @@ class CoverInstance:
         orders = self.table.orders
         self.order_bits: dict[int, int] = {
             k: bits_from_ids(np.nonzero(orders == k)[0])
-            for k in np.unique(orders).tolist()
+            for k in sorted(set(orders.tolist()))
             if k != 1
         }
         self._set_cols(sorted(lat.maximal_subgroups(), key=lambda s: (s.digest, s.key)))

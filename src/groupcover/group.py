@@ -473,20 +473,19 @@ def chain_rows(chain: StabilizerChain, dtype) -> np.ndarray:
 def _element_orders(rows: np.ndarray) -> np.ndarray:
     """Each row's order: the lcm of its points' cycle lengths.
 
-    Every point of every row moves on together, one gather per step over
-    the flattened rows, and its cycle length is the first step at which it
-    is back home; the loop ends when every cycle has closed.
+    Every point of every row moves on together, one row gather per step,
+    and its cycle length is the first step at which it is back home; the
+    loop ends when every cycle has closed.  A cycle length is at most the
+    degree, so it fits the rows' own dtype.
     """
-    n, deg = rows.shape
-    step = (rows + np.arange(0, n * deg, deg)[:, None]).ravel()  # flat index of π(p)
-    home = np.arange(n * deg)
-    cycle = np.zeros(n * deg, dtype=np.int32)
-    img, length = step, 1
+    home = np.arange(rows.shape[1], dtype=rows.dtype)
+    cycle = np.zeros_like(rows)
+    img, length = rows, 1
     while True:
         cycle[(img == home) & (cycle == 0)] = length
         if cycle.all():
-            return np.lcm.reduce(cycle.reshape(n, deg), axis=1)
-        img = step[img]
+            return np.lcm.reduce(cycle, axis=1, dtype=np.int32)
+        img = np.take_along_axis(rows, img, axis=1)
         length += 1
 
 
