@@ -84,13 +84,10 @@ class TomkinsonResult:
 def sigma(G: PermGroup, opts: SigmaOptions | None = None) -> SigmaResult:
     """The covering number of G with certificates; cyclic groups get ∞."""
     opts = opts or SigmaOptions()
-    cache_key = ("sigma", opts.cap, opts.node_budget, opts.join_budget, opts.sigma_forcing)
-    cached = G._cache.get(cache_key)
-    if cached is not None and not (opts.enumerate_all and cached.unique is None):
-        return cached
-    result = _compute_sigma(G, opts)
-    G._cache[cache_key] = result
-    return result
+    cache_key = ("sigma", opts)  # every option can change the document
+    if cache_key not in G._cache:
+        G._cache[cache_key] = _compute_sigma(G, opts)
+    return G._cache[cache_key]
 
 
 def sigma_value(G: PermGroup, opts: SigmaOptions | None = None):
@@ -236,7 +233,9 @@ def _derived_of(T, gen_ids: list[int]) -> SubgroupSet:
     frontier = np.flatnonzero(seen)
     while len(frontier):
         images = np.concatenate([T.conj_rows(frontier, h) for h in gen_ids])
-        frontier = np.unique(images[~seen[images]])
+        new = np.zeros(T.n, dtype=bool)  # np.unique would import numpy.ma
+        new[images[~seen[images]]] = True
+        frontier = np.flatnonzero(new)
         seen[frontier] = True
     return generated_subgroup(T, _small_generating_ids(T, np.flatnonzero(seen)))
 

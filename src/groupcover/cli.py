@@ -177,7 +177,7 @@ def _format_table(report: dict) -> str:
 def cmd_table(args) -> int:
     if args.max_sum < 3:
         raise ParseError("--max-sum must be at least 3")
-    opts = SigmaOptions(cap=args.cap, node_budget=args.node_budget)
+    opts = _options(args)
     report = classification_report(max_sum=args.max_sum, opts=opts)
     sys.stdout.write(_format_table(report))
     if args.out:
@@ -224,9 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="recompute the classification by sums")
     p.add_argument("--max-sum", type=int, default=25)
-    p.add_argument("--cap", type=int, default=20000)
-    p.add_argument("--node-budget", type=int, default=10**8)
-    p.add_argument("--out")
+    _common_flags(p)
     p.set_defaults(fn=cmd_table)
 
     return ap

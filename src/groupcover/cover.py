@@ -13,16 +13,16 @@ the classical forcing rule: a maximal subgroup whose own covering number
 exceeds an upper bound for σ(G) lies in every minimal cover, and with it
 its whole conjugacy class when it is not normal.
 
-The search runs on Python int bitsets built once per instance: each
-column's rows, each row's columns, and per element order the columns by
-count.  A node then costs one pass over its live columns plus a few int
-operations; the incidence matrix ``inc`` serves reduction and the greedy
-upper bound, which run once per instance.
+The incidence is held once, as Python int bitsets built once per
+instance: each column's rows and each row's columns, and per element order
+the columns by count.  Reduction, the greedy upper bound and the search all
+read it; a search node costs one pass over its live columns plus a few int
+operations.  σ(G/N) is a search of G's own instance from the columns that
+contain N.
 """
 
 from __future__ import annotations
 
-from copy import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -127,27 +127,22 @@ class CoverInstance:
             for k in sorted(set(orders.tolist()))
             if k != 1
         }
-        self._set_cols(sorted(lat.maximal_subgroups(), key=lambda s: (s.digest, s.key)))
-        if not self.inc.any(axis=1).all():
-            raise InvariantError(
-                "some maximal cyclic subgroup lies in no maximal subgroup"
-            )
-
-    def _set_cols(self, cols: list[SubgroupSet]) -> None:
-        """Make ``cols`` the candidate sets, none of them forced yet."""
-        self.cols = cols
+        self.cols = cols = sorted(lat.maximal_subgroups(), key=lambda s: (s.digest, s.key))
         # a cyclic subgroup lies in M exactly when its generator does:
-        # inc[i, j] is bit g_i of column j's key, g_i row i's generator
+        # member[j, i] is bit g_i of column j's key, g_i row i's generator
         gens = np.array([r.gen_ids[0] for r in self.rows], dtype=np.intp)
         keys = np.frombuffer(b"".join(M.key for M in cols), dtype=np.uint8)
         member = keys.reshape(len(cols), len(self.rows[0].key))[:, gens >> 3]
         member >>= (gens & 7).astype(np.uint8)
-        self.inc = np.ascontiguousarray((member & 1).T, dtype=bool)
-        # the same incidence as Python int bitsets, for the search:
+        member &= 1
         # col_rows[j] holds bit i when row i lies in column j, and
         # row_cols[i] holds bit j likewise
-        self.col_rows = _int_bitsets(self.inc.T)
-        self.row_cols = _int_bitsets(self.inc)
+        self.col_rows = _int_bitsets(member)
+        self.row_cols = _int_bitsets(member.T)
+        if not all(self.row_cols):
+            raise InvariantError(
+                "some maximal cyclic subgroup lies in no maximal subgroup"
+            )
         self.col_elem_bits = [M.bits for M in cols]
         # per element order k: each column's count of order-k elements, the
         # columns by descending count (lowest index first on ties), and the
@@ -203,7 +198,7 @@ class CoverInstance:
 
 
 def _int_bitsets(mat: np.ndarray) -> list[int]:
-    """Each row of a bool matrix as an int: bit j is set when entry j is."""
+    """Each row of a 0/1 matrix as an int: bit j is set when entry j is."""
     packed = np.packbits(mat, axis=1, bitorder="little")
     data, width = packed.tobytes(), packed.shape[1]
     return [
@@ -249,24 +244,25 @@ def counting_certificate(instance: CoverInstance, k: int) -> Certificate:
     )
 
 
-def greedy_upper_bound(instance: CoverInstance) -> list[int]:
-    """A valid cover by repeatedly taking the most-covering column."""
-    R = len(instance.rows)
-    covered = np.zeros(R, dtype=bool)
-    chosen = list(instance.forced)
+def greedy_upper_bound(instance: CoverInstance, cols: int | None = None) -> list[int]:
+    """A valid cover by repeatedly taking the most-covering column: from the
+    forced ones on, or, given an int column mask ``cols``, only among those."""
+    col_rows = instance.col_rows
+    uncovered = (1 << len(instance.rows)) - 1
+    chosen = list(instance.forced) if cols is None else []
+    candidates = range(len(col_rows)) if cols is None else list(_bit_indices(cols))
     for j in chosen:
-        covered |= instance.inc[:, j]
-    chosen_set = set(chosen)
-    while not covered.all():
-        gains = instance.inc[~covered].sum(axis=0)
-        for j in chosen_set:
-            gains[j] = -1
-        best = int(np.argmax(gains))  # first index wins ties: lowest digest
-        if gains[best] <= 0:
+        uncovered &= ~col_rows[j]
+    while uncovered:
+        best, gain = -1, 0
+        for j in candidates:  # first index wins ties: lowest digest
+            n = (col_rows[j] & uncovered).bit_count()
+            if n > gain:
+                best, gain = j, n
+        if best < 0:
             raise InvariantError("greedy cover stalled on an uncoverable row")
         chosen.append(best)
-        chosen_set.add(best)
-        covered |= instance.inc[:, best]
+        uncovered &= ~col_rows[best]
     return sorted(chosen)
 
 
@@ -285,10 +281,11 @@ def reduce(
     normal so does its whole conjugacy class.
     """
     forced = set(instance.forced)
-    # unique coverage
-    single = np.nonzero(instance.inc.sum(axis=1) == 1)[0]
-    for i in single:
-        j = int(np.argmax(instance.inc[i]))
+    # unique coverage: rows whose column set is a single bit
+    for i, cols in enumerate(instance.row_cols):
+        if cols & (cols - 1):
+            continue
+        j = cols.bit_length() - 1
         if j not in forced:
             forced.add(j)
             instance.certificates.append(
@@ -360,10 +357,15 @@ class _Search:
     int masks.  A column chosen by in-node forcing stays available, as the
     bounds count it; a branched column leaves the mask of its own subtree
     and of every later sibling.
+
+    By default the search starts from every column, the forced ones
+    chosen; given an int column mask ``cols`` (for σ(G/N), the columns that
+    contain N), it starts from those columns with none chosen.
     """
 
-    def __init__(self, instance: CoverInstance, node_budget: int):
+    def __init__(self, instance: CoverInstance, node_budget: int, cols: int | None = None):
         self.ins = instance
+        self.cols = cols
         self.node_budget = node_budget
         self.nodes = 0
         self.best: list[int] | None = None
@@ -387,12 +389,11 @@ class _Search:
 
     def _start_state(self):
         ins = self.ins
+        avail = (1 << len(ins.cols)) - 1 if self.cols is None else self.cols
+        chosen = list(ins.forced) if self.cols is None else []
         covered = 0
-        avail = (1 << len(ins.cols)) - 1
         elems = 1 << ins.table.identity_id
-        chosen: list[int] = []
-        for j in ins.forced:
-            chosen.append(j)
+        for j in chosen:
             covered |= ins.col_rows[j]
             elems |= ins.col_elem_bits[j]
         return covered, elems, avail, range(len(ins.cols)), chosen
@@ -498,7 +499,7 @@ class _Search:
 
     def solve(self) -> tuple[int, list[int], int]:
         ins = self.ins
-        incumbent = greedy_upper_bound(ins)
+        incumbent = greedy_upper_bound(ins, self.cols)
         self.best = incumbent
         covered, elems, avail, live, chosen = self._start_state()
         uncov = self.all_rows ^ covered
@@ -542,13 +543,13 @@ def quotient_sigma(
     instance: CoverInstance, N: SubgroupSet, node_budget: int = DEFAULT_NODE_BUDGET
 ):
     """σ(G/N) for a normal N: the least number of columns M ⊇ N (the M/N
-    are the maximal subgroups of G/N) that cover every row; INFINITY when
-    some row lies in no such column, exactly when G/N is cyclic."""
-    sub = copy(instance)
-    sub._set_cols([M for M in instance.cols if N.issubset(M)])
-    if not all(sub.row_cols):
+    are the maximal subgroups of G/N) that cover every row, searched on G's
+    own instance from the mask of those columns; INFINITY when some row lies
+    in no such column, exactly when G/N is cyclic."""
+    cols = sum(1 << j for j, M in enumerate(instance.cols) if N.issubset(M))
+    if not all(r & cols for r in instance.row_cols):
         return INFINITY
-    return _Search(sub, node_budget).solve()[0]
+    return _Search(instance, node_budget, cols).solve()[0]
 
 
 def enumerate_optimal_covers(

@@ -159,13 +159,16 @@ class SubgroupLattice:
         return self._cyclic
 
     def _build_cyclic(self) -> None:
-        """Every cyclic subgroup, with its least generator, in key order.
+        """Every cyclic subgroup, with its least generator, in key order,
+        and the maximal ones among them.
 
         e and f generate the same cyclic subgroup exactly when f = e^k for a
         unit k mod o = o(e), and a few units generate all of them, so per
         element order the least generator of ⟨e⟩ is an orbit minimum under a
         few power maps.  ⟨e⟩ is then its generators together with ⟨e^p⟩ for
-        each prime p dividing o, which are smaller and so built first.
+        each prime p dividing o, which are smaller and so built first.  A
+        cyclic subgroup lies properly inside another exactly when it is such
+        an ⟨e^p⟩, so the others are the maximal ones.
         """
         T = self.table
         n = T.n
@@ -185,9 +188,11 @@ class SubgroupLattice:
         cls = np.searchsorted(reps, label)  # class of every element, by reps
         rep_orders = orders[reps]
         below: list[list[int]] = [[] for _ in range(len(reps))]
+        non_maximal = np.zeros(len(reps), dtype=bool)
         for p in _prime_factors(n):  # every element order divides |G|
             at = np.flatnonzero(rep_orders % p == 0)
             sub = cls[T.lookup_rows(power_rows(T.rows[reps[at]], p))]
+            non_maximal[sub] = True
             for c, b in zip(at.tolist(), sub.tolist()):
                 below[c].append(b)
         bits = [0] * len(reps)
@@ -207,25 +212,14 @@ class SubgroupLattice:
         self._cyclic = [raw[i] for i in order]
         self._cyclic_gen = reps[order]
         self._elem_to_cyclic = rank[cls]
+        self._maximal_cyclic = [raw[i] for i in order if not non_maximal[i]]
 
     def maximal_cyclic_subgroups(self) -> list[SubgroupSet]:
-        """Cyclic subgroups not properly contained in a larger cyclic one.
-
-        ⟨x^p⟩ for a prime p dividing the order of x is exactly the kind of
-        cyclic subgroup that lies properly inside another, so per prime p of
-        |G| the rows of every x with p | o(x) are raised to the p-th power
-        together.
-        """
+        """Cyclic subgroups not properly contained in a larger cyclic one,
+        in key order; :meth:`_build_cyclic` finds them in its p-th-power
+        pass."""
         if self._maximal_cyclic is None:
-            T = self.table
-            cyc = self.cyclic_subgroups()
-            non_maximal = np.zeros(len(cyc), dtype=bool)
-            for p in _prime_factors(T.n):
-                power = power_rows(T.rows[T.orders % p == 0], p)
-                non_maximal[self._elem_to_cyclic[T.lookup_rows(power)]] = True
-            self._maximal_cyclic = [
-                S for S, dead in zip(cyc, non_maximal) if not dead
-            ]
+            self._build_cyclic()
         return self._maximal_cyclic
 
     # -- conjugacy ----------------------------------------------------------

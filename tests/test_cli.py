@@ -151,6 +151,8 @@ def test_parse_failures_exit_2(capsys):
     assert run(capsys, "sigma", "/nonexistent/file.grp")[0] == 2
     assert run(capsys, "sigma", "catalog:Sym(4)", "--cap", "0")[0] == 2
     assert run(capsys, "table", "--max-sum", "2")[0] == 2
+    assert run(capsys, "table", "--cap", "0")[0] == 2
+    assert run(capsys, "table", "--node-budget", "0")[0] == 2
 
 
 def test_cap_exhaustion_exits_3(capsys):

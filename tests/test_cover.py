@@ -23,11 +23,19 @@ from groupcover import (
 from conftest import brute_of, grp
 
 
+def _covers_every_row(ins, cols) -> bool:
+    covered = 0
+    for j in cols:
+        covered |= ins.col_rows[j]
+    return covered == (1 << len(ins.rows)) - 1
+
+
 def test_sym3_instance_is_identity_incidence():
     ins = build_instance(grp("Sym(3)"))
     assert len(ins.rows) == 4 and len(ins.cols) == 4
-    assert ins.inc.sum() == 4
-    assert (ins.inc.sum(axis=0) == 1).all() and (ins.inc.sum(axis=1) == 1).all()
+    assert sum(c.bit_count() for c in ins.col_rows) == 4
+    assert all(c.bit_count() == 1 for c in ins.col_rows)
+    assert all(r.bit_count() == 1 for r in ins.row_cols)
 
 
 def test_alt5_instance_shape():
@@ -36,7 +44,8 @@ def test_alt5_instance_shape():
     col_orders = Counter(c.order for c in ins.cols)
     assert row_orders == {2: 15, 3: 10, 5: 6}
     assert col_orders == {12: 5, 6: 10, 10: 6}
-    assert ins.inc.shape == (31, 21)
+    assert (len(ins.row_cols), len(ins.col_rows)) == (31, 21)
+    assert max(ins.row_cols).bit_length() <= 21 and max(ins.col_rows).bit_length() <= 31
 
 
 def test_instance_rejects_cyclic():
@@ -51,7 +60,7 @@ def test_instance_is_deterministic():
     b = build_instance(grp("Alt(5)"))
     assert [c.digest for c in a.cols] == [c.digest for c in b.cols]
     assert [r.digest for r in a.rows] == [r.digest for r in b.rows]
-    assert (a.inc == b.inc).all()
+    assert a.row_cols == b.row_cols and a.col_rows == b.col_rows
 
 
 def test_counting_lower_bound_small():
@@ -89,8 +98,49 @@ def test_greedy_upper_bound_is_a_cover():
     for spec in ["Alt(5)", "Sym(4)", "PSL3(2)", "Frobenius(11,5)"]:
         ins = build_instance(grp(spec))
         chosen = greedy_upper_bound(ins)
-        covered = ins.inc[:, chosen].any(axis=1)
-        assert covered.all(), spec
+        assert _covers_every_row(ins, chosen), spec
+
+
+# (spec, greedy cover, unique-coverer count, sha256 prefix of the
+# certificates, forced set after reduce); the greedy cover is the same
+# before and after the unique-coverage pass on these groups, and a second
+# reduce with the greedy size as upper bound forces nothing more
+GREEDY_REDUCE_PINS = [
+    ("Alt(6)", [0, 1, 2, 4, 5, 7, 8, 11, 13, 14, 22, 26, 33, 35, 36, 37, 41],
+     0, "4f53cda18c2baa0c", []),
+    ("PSL2(9)", [1, 2, 5, 6, 7, 9, 10, 16, 19, 20, 21, 27, 32, 34, 36, 39, 47],
+     0, "4f53cda18c2baa0c", []),
+    ("Sym(5)", [0, 1, 2, 3, 4, 5, 7, 8, 9, 10, 12, 13, 15, 16, 18, 19],
+     10, "0ac1e742a0231a6a", [3, 5, 7, 9, 10, 12, 13, 15, 16, 19]),
+    ("PGL2(7)", [2, 3, 6, 7, 8, 9, 10, 12, 13, 16, 17, 18, 19, 20, 24, 27, 28,
+                 30, 31, 34, 37, 40, 42, 43, 45, 46, 48, 51, 57],
+     21, "26d1116c22e0261d", [2, 3, 6, 7, 9, 10, 13, 16, 17, 19, 20, 24, 27, 30,
+                              31, 37, 40, 42, 45, 46, 57]),
+    ("ASL3(2)", [0, 1, 2, 4, 5, 6, 8, 9, 11, 13, 17, 26, 28, 32, 34],
+     0, "4f53cda18c2baa0c", []),
+]
+
+
+@pytest.mark.parametrize(
+    "spec,greedy,n_certs,digest,forced",
+    GREEDY_REDUCE_PINS,
+    ids=[p[0] for p in GREEDY_REDUCE_PINS],
+)
+def test_greedy_and_reduce_are_pinned(spec, greedy, n_certs, digest, forced):
+    import hashlib
+
+    ins = build_instance(grp(spec))
+    assert greedy_upper_bound(ins) == greedy
+    reduce_instance(ins)
+    assert ins.forced == forced
+    assert greedy_upper_bound(ins) == greedy
+    reduce_instance(ins, upper_bound=len(greedy))
+    assert ins.forced == forced
+    certs = [c.as_dict() for c in ins.certificates]
+    assert len(certs) == n_certs
+    assert all(c["kind"] == "unique-coverer" for c in certs)
+    assert sorted(c["column"] for c in certs) == sorted(ins.cols[j].digest for j in forced)
+    assert hashlib.sha256(repr(certs).encode()).hexdigest()[:16] == digest
 
 
 def test_unique_coverage_reduction_forces_columns():
@@ -126,7 +176,7 @@ def test_solve_exact_small_sigmas():
         sigma, cover, stats = solve_exact(ins)
         assert sigma == want, spec
         assert len(cover) == want
-        assert ins.inc[:, cover].any(axis=1).all()
+        assert _covers_every_row(ins, cover)
         assert stats["root_lower_bound"] <= want
 
 

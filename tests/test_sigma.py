@@ -4,10 +4,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import replace
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from groupcover import (
+    BudgetExhaustedError,
     CyclicGroupError,
     INFINITY,
     InvariantError,
@@ -308,6 +311,66 @@ def test_sigma_respects_node_budget_interval():
     assert res.sigma is None
     lo, hi = res.interval
     assert lo <= 10 <= hi
+
+
+# the options that shape a σ document: enumeration, its limit, the node budget
+_DOC_OPTIONS = [
+    SigmaOptions(enumerate_all=e, enumerate_limit=limit, node_budget=budget)
+    for e in (False, True)
+    for limit in (1, 1000)
+    for budget in (1, 10**8)
+]
+
+
+def _sigma_outcome(G, opts: SigmaOptions):
+    """The σ document, or the error when a budget runs out mid-enumeration."""
+    from groupcover.cli import _result_document
+
+    try:
+        return _result_document(sigma(G, opts))
+    except BudgetExhaustedError as e:
+        return repr(e)
+
+
+@lru_cache(maxsize=None)
+def _fresh_outcome(spec: str, opts: SigmaOptions):
+    return _sigma_outcome(_fresh(spec), opts)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    spec=st.sampled_from(["Alt(5)", "AGL1(7)"]),  # 15 and 2 optimal covers
+    calls=st.lists(st.sampled_from(_DOC_OPTIONS), min_size=1, max_size=5),
+)
+def test_sigma_document_does_not_depend_on_earlier_calls(spec, calls):
+    G = _fresh(spec)
+    for opts in calls:
+        assert _sigma_outcome(G, opts) == _fresh_outcome(spec, opts), opts
+
+
+def test_tomkinson_leaves_numpy_ma_unloaded():
+    """The derived series closes its frontier without np.unique, which
+    imports numpy.ma into the process on first use."""
+    import os
+    import subprocess
+    import sys
+
+    import groupcover
+
+    code = (
+        "import sys\n"
+        "from groupcover import PermGroup, construct, tomkinson_sigma\n"
+        "base = construct('Sym(4)')\n"
+        "G = PermGroup(list(base.generators), degree=base.degree)\n"
+        "assert tomkinson_sigma(G).sigma == 4\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(groupcover.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_count_symmetric_order_elements():
