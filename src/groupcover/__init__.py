@@ -51,7 +51,7 @@ from .errors import (
     ParseError,
     SpecError,
 )
-from .group import PermGroup, center, conjugate_subgroup, enumerate_elements
+from .group import PermGroup, center
 from .lattice import SubgroupLattice, generated_subgroup, lattice
 from .perm import Permutation, parse_cycles
 from .subgroup import SubgroupSet
@@ -83,13 +83,11 @@ __all__ = [
     "build_instance",
     "center",
     "classification_report",
-    "conjugate_subgroup",
     "construct",
     "count_symmetric_order_elements",
     "counting_lower_bound",
     "derived_series",
     "derived_subgroup",
-    "enumerate_elements",
     "enumerate_optimal_covers",
     "generated_subgroup",
     "greedy_upper_bound",

@@ -116,7 +116,7 @@ def _compute_sigma(G: PermGroup, opts: SigmaOptions) -> SigmaResult:
     reduce_instance(ins)  # unique-coverage forcing
     upper = len(greedy_upper_bound(ins))  # greedy extends the forced set
     sigma_fn = _child_sigma_fn(opts) if opts.sigma_forcing else None
-    reduce_instance(ins, upper_bound=upper, sigma_forcing=opts.sigma_forcing, sigma_fn=sigma_fn)
+    reduce_instance(ins, upper_bound=upper, sigma_fn=sigma_fn)
     certificates = list(ins.certificates) + [_best_counting_certificate(ins)]
     try:
         value, cover_idx, stats = solve_exact(ins, node_budget=opts.node_budget)
@@ -146,9 +146,12 @@ def _compute_sigma(G: PermGroup, opts: SigmaOptions) -> SigmaResult:
                 f"counting bound {cert.payload['bound']} exceeds sigma {value}"
             )
     if opts.enumerate_all:
-        count, covers, exact = enumerate_optimal_covers(
-            ins, value, limit=opts.enumerate_limit, node_budget=opts.node_budget
-        )
+        try:
+            count, covers, exact = enumerate_optimal_covers(
+                ins, value, limit=opts.enumerate_limit, node_budget=opts.node_budget
+            )
+        except BudgetExhaustedError:
+            return result  # σ stands; the count and uniqueness stay unknown
         result.optimal_count = count
         result.unique = (count == 1) if exact else False
         result.stats = dict(result.stats)
@@ -576,7 +579,10 @@ def classification_report(
             if expected.get("unique_cover") and row["status"] == "ok":
                 res = sigma(G, replace(opts, enumerate_all=True))
                 row["unique_cover"] = res.unique
-                if res.unique is not True:
+                if res.unique is None:
+                    row["status"] = "skipped"
+                    flags.append(f"{spec_text}: uniqueness skipped on exhausted enumeration")
+                elif not res.unique:
                     row["status"] = "mismatch"
             regression.append(row)
             if row["status"] == "mismatch":

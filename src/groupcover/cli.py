@@ -91,7 +91,7 @@ def _options(args) -> SigmaOptions:
         node_budget=args.node_budget,
         sigma_forcing=getattr(args, "sigma_forcing", False),
         enumerate_all=getattr(args, "enumerate_all", False),
-        enumerate_limit=getattr(args, "limit", 1000),
+        enumerate_limit=getattr(args, "limit", SigmaOptions.enumerate_limit),
     )
 
 
@@ -107,7 +107,7 @@ def cmd_sigma(args) -> int:
             print(f"sigma({res.group}) in [{lo}, {hi}] (budget exhausted)")
         else:
             print(f"sigma({res.group}) = {_jsonable(res.sigma)}")
-    if res.sigma is None:
+    if res.sigma is None or opts.enumerate_all and res.optimal_count is None:
         return EXIT_BUDGET
     return EXIT_OK
 
@@ -186,8 +186,8 @@ def cmd_table(args) -> int:
 
 
 def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--cap", type=int, default=20000, help="element-table cap")
-    p.add_argument("--node-budget", type=int, default=10**8,
+    p.add_argument("--cap", type=int, default=SigmaOptions.cap, help="element-table cap")
+    p.add_argument("--node-budget", type=int, default=SigmaOptions.node_budget,
                    help="search node budget; interval answers on exhaustion")
     p.add_argument("--out", help="write the JSON result document here")
 
@@ -204,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(p)
     p.add_argument("--enumerate-all", action="store_true",
                    help="count all minimum covers and report uniqueness")
-    p.add_argument("--limit", type=int, default=1000,
+    p.add_argument("--limit", type=int, default=SigmaOptions.enumerate_limit,
                    help="cap for --enumerate-all counting")
     p.add_argument("--sigma-forcing", action="store_true",
                    help="also force maximal subgroups whose own sigma exceeds "
@@ -214,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a proposed cover")
     p.add_argument("spec")
     p.add_argument("cover_file", help="result document or bare cover array (JSON)")
-    p.add_argument("--cap", type=int, default=20000)
+    p.add_argument("--cap", type=int, default=SigmaOptions.cap)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("elementary", help="sigma-elementary verdict")

@@ -8,10 +8,10 @@ subgroup it generates.
 
 Lower bounds are element-counting bounds ⌈N_k/m_k⌉ per element order k,
 made additive across orders whose covering column sets are pairwise
-disjoint.  Reduction forces columns by unique coverage and (optionally) by
-the classical forcing rule: a maximal subgroup whose own covering number
-exceeds an upper bound for σ(G) lies in every minimal cover, and with it
-its whole conjugacy class when it is not normal.
+disjoint.  Reduction forces columns by unique coverage and, given a σ
+function, by the classical forcing rule: a maximal subgroup whose own
+covering number exceeds an upper bound for σ(G) lies in every minimal
+cover, and with it its whole conjugacy class when it is not normal.
 
 The incidence is held once, as Python int bitsets built once per
 instance: each column's rows and each row's columns, and per element order
@@ -23,6 +23,7 @@ contain N.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,34 +37,7 @@ from .subgroup import SubgroupSet, bits_from_ids
 DEFAULT_NODE_BUDGET = 10**8
 
 
-class _Infinity:
-    """The covering number of a cyclic group; larger than every natural."""
-
-    __slots__ = ()
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return isinstance(other, _Infinity)
-
-    def __gt__(self, other):
-        return not isinstance(other, _Infinity)
-
-    def __ge__(self, other):
-        return True
-
-    def __eq__(self, other):
-        return isinstance(other, _Infinity)
-
-    def __hash__(self):
-        return hash("infinity")
-
-    def __repr__(self):
-        return "infinity"
-
-
-INFINITY = _Infinity()
+INFINITY = math.inf  # the covering number of a cyclic group
 
 
 @dataclass(frozen=True)
@@ -269,16 +243,15 @@ def greedy_upper_bound(instance: CoverInstance, cols: int | None = None) -> list
 def reduce(
     instance: CoverInstance,
     upper_bound: int | None = None,
-    sigma_forcing: bool = False,
     sigma_fn=None,
 ) -> CoverInstance:
-    """Extend the forced set by unique coverage and subgroup forcing.
+    """Extend the forced set by unique coverage and, given ``sigma_fn``, by
+    subgroup forcing.
 
     ``sigma_fn`` maps a PermGroup to a (lower, upper) pair for its covering
-    number; it is only consulted when ``sigma_forcing`` is set.  Forcing by σ is
-    valid when the subgroup's lower bound exceeds an upper bound for σ(G):
-    such a maximal subgroup lies in every minimal cover, and if it is not
-    normal so does its whole conjugacy class.
+    number.  Forcing by σ is valid when the subgroup's lower bound exceeds
+    an upper bound for σ(G): such a maximal subgroup lies in every minimal
+    cover, and if it is not normal so does its whole conjugacy class.
     """
     forced = set(instance.forced)
     # unique coverage: rows whose column set is a single bit
@@ -298,9 +271,7 @@ def reduce(
                     },
                 )
             )
-    if sigma_forcing:
-        if sigma_fn is None:
-            raise ValueError("sigma forcing needs a sigma_fn")
+    if sigma_fn is not None:
         if upper_bound is None:
             upper_bound = len(greedy_upper_bound(instance))
         key_to_idx = {M.key: j for j, M in enumerate(instance.cols)}
@@ -346,7 +317,7 @@ def reduce(
 
 
 def _bound_repr(x):
-    return "infinity" if isinstance(x, _Infinity) else int(x)
+    return "infinity" if x == INFINITY else int(x)
 
 
 class _Search:

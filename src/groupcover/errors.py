@@ -81,13 +81,5 @@ class CyclicGroupError(GroupCoverError):
     """
 
 
-class NoSupplementError(GroupCoverError):
-    """A normal subgroup has no proper supplement (it lies in the Frattini)."""
-
-
-class NoComplementError(GroupCoverError):
-    """An abelian minimal normal subgroup has no complement."""
-
-
 class InvariantError(GroupCoverError):
     """An internal consistency check failed; results must not be trusted."""

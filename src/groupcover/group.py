@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import CapExceededError
 from .perm import Permutation, compose, invert
-from .subgroup import SubgroupSet, bits_from_ids
+from .subgroup import SubgroupSet
 
 DEFAULT_ELEMENT_CAP = 20000
 
@@ -285,9 +285,6 @@ class ElementTable:
         ginv = self.rows[self.inverse[g]]
         mid = self.rows[ids][:, ginv]
         return self.lookup_rows(self.rows[g][mid])
-
-    def conj(self, x: int, g: int) -> int:
-        return int(self.conj_rows([x], g)[0])
 
     def power(self, a: int, k: int) -> int:
         if k < 0:
@@ -567,11 +564,6 @@ class PermGroup:
         return f"PermGroup({self.label()}, degree={self.degree})"
 
 
-def enumerate_elements(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP) -> ElementTable:
-    """The group's element table; raises CapExceededError when |G| > cap."""
-    return G.table(cap)
-
-
 def center(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP) -> SubgroupSet:
     """Elements commuting with every generator, as a subgroup bit vector."""
     table = G.table(cap)
@@ -579,22 +571,4 @@ def center(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP) -> SubgroupSet:
     all_ids = np.arange(table.n, dtype=np.int32)
     for conj in table.conj_by_gen():
         mask &= conj == all_ids
-    ids = all_ids[mask]
-    return SubgroupSet.from_ids(table, ids)
-
-
-def conjugate_subgroup(table: ElementTable, H: SubgroupSet, g) -> SubgroupSet:
-    """The conjugate g^-1 H g inside the same ambient table."""
-    if isinstance(g, Permutation):
-        gid = table.id_of_perm(g)
-        if gid is None:
-            raise ValueError("conjugating element lies outside the group")
-    else:
-        gid = int(g)
-    ids = table.conj_rows(H.ids, gid)
-    gen_ids = (
-        [int(x) for x in table.conj_rows(np.array(H.gen_ids, dtype=np.int32), gid)]
-        if H.gen_ids
-        else None
-    )
-    return SubgroupSet(table, bits_from_ids(ids), gen_ids=gen_ids)
+    return SubgroupSet.from_mask(table, mask)

@@ -29,8 +29,8 @@ only decide how soon a bound is reached, never what a join is, so no result
 depends on the seed.
 
 The same worklist discovers every subgroup of the ambient group, with its
-normality, which the normal-subgroup, chief-series, complement, and
-supplement computations then reuse.
+normality, which the normal-subgroup, chief-series and complement
+computations then reuse.
 """
 
 from __future__ import annotations
@@ -41,12 +41,7 @@ from math import gcd
 
 import numpy as np
 
-from .errors import (
-    BudgetExhaustedError,
-    InvariantError,
-    NoComplementError,
-    NoSupplementError,
-)
+from .errors import BudgetExhaustedError, InvariantError
 from .group import (
     DEFAULT_ELEMENT_CAP,
     ElementTable,
@@ -594,81 +589,6 @@ class SubgroupLattice:
             H for H in self.all_subgroups()
             if H.order == want and H.bits & S.bits == K.bits
         ]
-
-    # -- supplements and the associated primitive group ---------------------
-
-    def min_supplement_index(self, N: SubgroupSet) -> int:
-        """Least index [G:H] over proper H with HN = G."""
-        if not self.is_normal(N):
-            raise ValueError("supplement search requires a normal subgroup")
-        T = self.table
-        n = T.n
-        best = None
-        for H in self.all_subgroups():
-            prod = H.order * N.order // (H.bits & N.bits).bit_count()
-            if prod == n:
-                idx = n // H.order
-                if best is None or idx < best:
-                    best = idx
-        if best is None:
-            raise NoSupplementError(
-                "no proper supplement: the normal subgroup lies in the Frattini"
-            )
-        return best
-
-    def associated_primitive_monolithic(self, N: SubgroupSet) -> PermGroup:
-        """The primitive monolithic group attached to a minimal normal N.
-
-        Non-abelian N: the quotient by the centralizer of N.  Abelian N: the
-        affine group N ⋊ (H / C_H(N)) on |N| points for a complement H.
-        """
-        T = self.table
-        n_gens = [int(g) for g in N.gen_ids]
-        if _is_abelian_subgroup(T, n_gens):
-            trivial = SubgroupSet(T, bits_from_ids([T.identity_id]))
-            comps = self.complements(N, trivial)
-            if not comps:
-                raise NoComplementError(
-                    "abelian minimal normal subgroup has no complement"
-                )
-            comp = comps[0]
-            points = [int(i) for i in N.ids]
-            pos = {e: i + 1 for i, e in enumerate(points)}
-            gens = []
-            for m in n_gens:
-                gens.append(
-                    Permutation([pos[int(y)] for y in T.mul_many(N.ids, m)])
-                )
-            for h in comp.gen_ids:
-                gens.append(
-                    Permutation([pos[int(y)] for y in T.conj_rows(N.ids, int(h))])
-                )
-            ch = (self.centralizer_of(N).bits & comp.bits).bit_count()
-            X = PermGroup(
-                gens, degree=len(points), name=f"affine[{self.group.label()}]"
-            )
-            if X.order() != N.order * comp.order // ch:
-                raise InvariantError("affine image order mismatch")
-            return X
-        cent = self.centralizer_of(N)
-        if cent.is_trivial_subgroup():
-            return self.group
-        return self.quotient(cent)
-
-    def centralizer_of(self, N: SubgroupSet) -> SubgroupSet:
-        """Elements commuting with every member of N."""
-        T = self.table
-        mask = np.ones(T.n, dtype=bool)
-        for m in N.gen_ids:
-            mrow = T.rows[int(m)]
-            # g commutes with m  <=>  the rows of m∘g and g∘m agree
-            m_then_g = T.rows[:, mrow]
-            g_then_m = mrow[T.rows]
-            mask &= np.all(m_then_g == g_then_m, axis=1)
-        ids = np.nonzero(mask)[0]
-        S = SubgroupSet(T, bits_from_ids(ids))
-        S.gen_ids = _small_generating_ids(T, ids)
-        return S
 
 
 class _Overgroups:

@@ -65,10 +65,6 @@ class SubgroupSet:
         self._key: bytes | None = None
 
     @classmethod
-    def from_ids(cls, table, ids, gen_ids: list[int] | None = None) -> "SubgroupSet":
-        return cls(table, bits_from_ids(ids), gen_ids=gen_ids)
-
-    @classmethod
     def from_mask(
         cls, table, mask: np.ndarray, gen_ids: list[int] | None = None
     ) -> "SubgroupSet":
@@ -116,9 +112,6 @@ class SubgroupSet:
         """Short stable hex fingerprint for reports and tie-breaking displays."""
         return hashlib.blake2b(self.key, digest_size=8).hexdigest()
 
-    def contains_id(self, i: int) -> bool:
-        return bool((self.bits >> int(i)) & 1)
-
     def issubset(self, other: "SubgroupSet") -> bool:
         return self.bits & other.bits == self.bits
 
@@ -127,9 +120,6 @@ class SubgroupSet:
 
     def is_trivial_subgroup(self) -> bool:
         return self.order == 1
-
-    def index(self) -> int:
-        return self.table.n // self.order
 
     def generator_perms(self):
         """Permutations for the recorded generators (empty list if untracked)."""

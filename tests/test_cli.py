@@ -175,6 +175,16 @@ def test_node_budget_exhaustion_exits_3(tmp_path, capsys):
     assert lo <= 10 <= hi
 
 
+def test_enumeration_budget_exhaustion_prints_sigma_and_exits_3(capsys):
+    code, out, _ = run(
+        capsys, "sigma", "catalog:AGL1(7)", "--enumerate-all", "--node-budget", "1"
+    )
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["sigma"] == 8 and doc["interval"] is None
+    assert doc["optimal_count"] is None and doc["unique"] is None
+
+
 def test_usage_errors(capsys):
     assert main([]) == 2
     assert main(["frobnicate"]) == 2

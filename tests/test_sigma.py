@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import replace
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,8 @@ from groupcover import (
     CyclicGroupError,
     INFINITY,
     InvariantError,
+    PermGroup,
+    Permutation,
     SigmaOptions,
     count_symmetric_order_elements,
     derived_series,
@@ -313,6 +316,14 @@ def test_sigma_respects_node_budget_interval():
     assert lo <= 10 <= hi
 
 
+def test_enumeration_budget_still_reports_sigma():
+    # the solve needs no node for σ = 8; enumerating the 2 optimal covers does
+    res = sigma(_fresh("AGL1(7)"), SigmaOptions(enumerate_all=True, node_budget=1))
+    assert res.sigma == 8 and res.interval is None and len(res.cover) == 8
+    assert res.optimal_count is None and res.unique is None
+    assert "optimal_covers" not in res.stats
+
+
 # the options that shape a σ document: enumeration, its limit, the node budget
 _DOC_OPTIONS = [
     SigmaOptions(enumerate_all=e, enumerate_limit=limit, node_budget=budget)
@@ -346,6 +357,55 @@ def test_sigma_document_does_not_depend_on_earlier_calls(spec, calls):
     G = _fresh(spec)
     for opts in calls:
         assert _sigma_outcome(G, opts) == _fresh_outcome(spec, opts), opts
+
+
+def _presented(G: PermGroup, data) -> PermGroup:
+    """G under another presentation: its points relabelled by a random
+    permutation, 0-3 extra fixed points, two random words in its generators
+    as extra generators, and every generator in reversed order."""
+    n = G.degree + data.draw(st.integers(0, 3), label="extra points")
+    pi = data.draw(st.permutations(range(n)), label="relabelling")
+    words = st.lists(st.sampled_from(G.generators), min_size=1, max_size=5)
+    gens = list(G.generators) + [
+        reduce(mul, data.draw(words, label="word")) for _ in range(2)
+    ]
+    out = []
+    for g in reversed(gens):
+        img = list(g.zero) + list(range(G.degree, n))
+        z = [0] * n
+        for x in range(n):
+            z[pi[x]] = pi[img[x]]
+        out.append(Permutation([v + 1 for v in z]))
+    return PermGroup(out, degree=n)
+
+
+def _presentation_facts(G: PermGroup) -> tuple:
+    """What must not depend on the presentation; node counts and covers
+    follow the element IDs, so they may."""
+    res = sigma(G, SigmaOptions(enumerate_all=True))
+    stats = {k: res.stats[k] for k in ("root_lower_bound", "forced", "rows", "columns")}
+    return (
+        res.sigma,
+        res.optimal_count,
+        stats,
+        len(lattice(G).all_subgroups()),
+        is_sigma_elementary(G).is_elementary,
+    )
+
+
+@lru_cache(maxsize=None)
+def _catalog_facts(spec: str) -> tuple:
+    return _presentation_facts(grp(spec))
+
+
+@pytest.mark.parametrize(
+    "spec", [s for s in manifest_upto(200) if not grp(s).is_cyclic()]
+)
+@settings(max_examples=3, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_answer_does_not_depend_on_the_presentation(spec, data):
+    H = _presented(grp(spec), data)
+    assert _presentation_facts(H) == _catalog_facts(spec)
 
 
 def test_tomkinson_leaves_numpy_ma_unloaded():
