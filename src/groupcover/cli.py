@@ -10,7 +10,8 @@ inputs and configuration; nothing time- or machine-dependent goes in them.
 
 Exit codes: 0 success, 2 parse error, 3 budget or cap exhausted,
 4 internal invariant violation.  ``verify`` exits 1 on a rejected cover and
-``table`` exits 1 on any mismatch.
+``table`` exits 1 on any mismatch, else 3 when a sum row lost a group that
+was skipped.
 """
 
 from __future__ import annotations
@@ -156,6 +157,8 @@ def _format_table(report: dict) -> str:
     for row in report["rows"]:
         names = ", ".join(row["computed"]) if row["computed"] else "(none)"
         mark = "" if row["ok"] else "   MISMATCH expected: " + ", ".join(row["expected"])
+        if "skipped" in row:
+            mark += "   skipped: " + ", ".join(row["skipped"])
         lines.append(f"{row['sum']:3d} | {names}{mark}")
     lines.append("")
     lines.append("exact values:")
@@ -170,8 +173,18 @@ def _format_table(report: dict) -> str:
         lines.append("notes:")
         lines += [f"  - {f}" for f in report["flags"]]
     lines.append("")
-    lines.append("result: " + ("all rows match" if report["ok"] else "MISMATCHES FOUND"))
+    if not report["ok"]:
+        result = "MISMATCHES FOUND"
+    elif _skipped_rows(report):
+        result = "no mismatches; rows with skipped groups are undecided"
+    else:
+        result = "all rows match"
+    lines.append("result: " + result)
     return "\n".join(lines) + "\n"
+
+
+def _skipped_rows(report: dict) -> bool:
+    return any("skipped" in row for row in report["rows"])
 
 
 def cmd_table(args) -> int:
@@ -182,7 +195,9 @@ def cmd_table(args) -> int:
     sys.stdout.write(_format_table(report))
     if args.out:
         Path(args.out).write_text(json.dumps(_jsonable(report), indent=2) + "\n")
-    return EXIT_OK if report["ok"] else EXIT_REJECTED
+    if not report["ok"]:
+        return EXIT_REJECTED
+    return EXIT_BUDGET if _skipped_rows(report) else EXIT_OK
 
 
 def _common_flags(p: argparse.ArgumentParser) -> None:

@@ -17,6 +17,7 @@ chain's sift coordinates map any row back to its ID.
 from __future__ import annotations
 
 import random
+from functools import cached_property
 
 import numpy as np
 
@@ -189,6 +190,7 @@ class ElementTable:
     basic-orbit position per level, and read as a mixed-radix number those
     positions are a bijection from G onto [0, |G|), which indexes a dense
     slot array.  Every ID lookup, one row or many, goes through that array.
+    ``orders`` and ``inverse`` are computed on first use.
     """
 
     def __init__(self, group: "PermGroup"):
@@ -215,22 +217,31 @@ class ElementTable:
                 raise AssertionError(
                     f"the {order} chain elements are not closed under generator {k}"
                 ) from None
-        self.orders = _element_orders(rows)
-        self.inverse = self.lookup_rows(np.argsort(rows, axis=1).astype(rows.dtype))
         self._conj_by_gen: list[np.ndarray] | None = None
+
+    @cached_property
+    def orders(self) -> np.ndarray:
+        """Each element's order, by ID."""
+        return _element_orders(self.rows)
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        """Each element's inverse, by ID."""
+        return self.lookup_rows(np.argsort(self.rows, axis=1).astype(self.rows.dtype))
 
     def _sift_keys(self, mat: np.ndarray) -> np.ndarray:
         """Mixed-radix sift coordinates of each row, level 0 most significant.
 
-        Only the images of the base points are stripped; raises KeyError when
-        one of them leaves its basic orbit.
+        Only the images of the base points are stripped.  A base image
+        outside its basic orbit takes position -1, which keeps every key in
+        (-|G|, |G|) and so a valid index of the slot array; the row that
+        slot names then differs from the given one, which ``lookup_rows``
+        rejects.
         """
         images = mat[:, self._sift_base]
         keys = np.zeros(mat.shape[0], dtype=np.intp)
         for pos, inv_rows, stride in self._sift_levels:
             p = pos[images[:, 0]]
-            if (p < 0).any():
-                raise KeyError("row outside the group")
             keys += p * stride
             # strip u^-1: every later base image b becomes u^-1(b)
             images = inv_rows[p[:, None], images[:, 1:]]
@@ -445,15 +456,16 @@ def _sift_into(rows, start, base, reached, inv) -> None:
 
 def power_rows(rows: np.ndarray, k: int) -> np.ndarray:
     """Each image row raised to the k-th power (k >= 1), by repeated squaring."""
+    at = np.arange(len(rows))[:, None]
     out = None
     while True:
         if k & 1:
             # the powers of one element commute, so the order of the factors is free
-            out = rows if out is None else np.take_along_axis(rows, out, axis=1)
+            out = rows if out is None else rows[at, out]
         k >>= 1
         if not k:
             return out
-        rows = np.take_along_axis(rows, rows, axis=1)
+        rows = rows[at, rows]
 
 
 def chain_rows(chain: StabilizerChain, dtype) -> np.ndarray:
@@ -476,13 +488,14 @@ def _element_orders(rows: np.ndarray) -> np.ndarray:
     degree, so it fits the rows' own dtype.
     """
     home = np.arange(rows.shape[1], dtype=rows.dtype)
+    at = np.arange(len(rows))[:, None]
     cycle = np.zeros_like(rows)
     img, length = rows, 1
     while True:
         cycle[(img == home) & (cycle == 0)] = length
         if cycle.all():
             return np.lcm.reduce(cycle, axis=1, dtype=np.int32)
-        img = np.take_along_axis(rows, img, axis=1)
+        img = rows[at, img]
         length += 1
 
 

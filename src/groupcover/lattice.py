@@ -13,11 +13,16 @@ are pushed in one step.
 
 Most proper joins give a subgroup the worklist already holds, so each join
 ⟨H, x⟩ is answered from H's known overgroups first: with K the smallest
-known subgroup above H that contains x, ⟨H, x⟩ ≤ K, and Schreier-Sims stops
-once the order passes |K|/2 (|G|/2 when there is no such K): by Lagrange the
-join is then K (or G).  A join that stays within that bound is new, and only
-then are its elements built.  Every target still spends one join of the
-budget, however it is answered.
+known subgroup above H that contains x, ⟨H, x⟩ ≤ K (≤ G when there is no
+such K), and a subgroup of K of order above |K|/2 is K.  Lagrange alone
+often settles this before any Schreier-Sims: |⟨H, x⟩| divides |K|, is a
+multiple of lcm(|H|, o(x)) and is at least |H⟨x⟩| = |H| o(x) / |H ∩ ⟨x⟩|,
+so the least divisor of |K| with both properties is a proven lower bound.
+When it passes |K|/2 the join is K; otherwise Schreier-Sims runs from H's
+chain and stops once the order passes |K|/2, and the join is again K.  A
+join that stays within that bound is new, and only then are its elements
+built.  Every target still spends one join of the budget, however it is
+answered, and H's chain is built only when one of its joins needs it.
 
 A class with many targets answers most of them without Schreier-Sims: one
 seeded random Schreier-Sims prepass over all its targets at once, on numpy
@@ -36,8 +41,11 @@ computations then reuse.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
+from collections.abc import Callable
 from dataclasses import dataclass
-from math import gcd
+from functools import cache
+from math import gcd, isqrt, lcm
 
 import numpy as np
 
@@ -62,7 +70,7 @@ _CONJUGATE_CHUNK = 64  # frontier subgroups conjugated together
 # fallback joins against exact joins alone take 1.1-1.6x below 16 targets,
 # 0.7-1.0x at 16-31, 0.6-0.9x at 32-63 and 0.4-0.65x from 64 up.  At 64
 # every class that runs it gains a third or more, and the small solvable
-# groups (no class over 42 targets) keep the exact path alone.
+# groups (no class over 42 targets) run no prepass.
 _PREPASS_MIN_TARGETS = 64
 
 
@@ -81,7 +89,7 @@ def _prime_factors(n: int) -> list[int]:
 
 
 def _row_tuple(table: ElementTable, i: int) -> tuple[int, ...]:
-    return tuple(int(x) for x in table.rows[i])
+    return tuple(table.rows[i].tolist())
 
 
 def _chain_of_ids(table: ElementTable, gen_ids) -> StabilizerChain:
@@ -238,11 +246,12 @@ class SubgroupLattice:
             for start in range(0, len(frontier), _CONJUGATE_CHUNK):
                 chunk = frontier[start : start + _CONJUGATE_CHUNK]
                 ids = np.stack([H.ids for H in chunk])  # conjugates: one order
+                at = np.arange(len(chunk))[:, None]
                 images = []
                 for ct in tables:
                     img = ct[ids]
                     mask = np.zeros((len(chunk), T.n), dtype=bool)
-                    np.put_along_axis(mask, img, True, axis=1)
+                    mask[at, img] = True
                     images.append(
                         (ct, img, np.packbits(mask, axis=1, bitorder="little"))
                     )
@@ -354,18 +363,19 @@ class SubgroupLattice:
         that contain H, so each join is answered against all the overgroups
         of H known at that time (see ``_join_answer``).
 
-        A class with many targets first runs one random Schreier-Sims prepass
-        over all of them (``ElementTable.join_lower_bounds``), which proves a
-        lower bound on every |⟨H, x⟩|.  The targets are then answered in order as before,
-        and a bound that passes half the order of the smallest known
-        overgroup K holding x (of G when there is none) proves that the join
-        is K without an exact Schreier-Sims.  The bounds are proven whatever
-        the random elements were, so the seed only decides how many joins
-        fall back to the exact path, never what any join is.
+        Every join gets the Lagrange bound of ``_least_join_order`` against
+        the smallest known overgroup K of H holding x (G when there is
+        none).  A class with many targets also runs one random Schreier-Sims
+        prepass over all of them (``ElementTable.join_lower_bounds``), which
+        proves another lower bound on every |⟨H, x⟩|.  The targets are then
+        answered in order, and a bound that passes |K|/2 proves that the
+        join is K without an exact Schreier-Sims.  The bounds are proven
+        whatever the random elements were, so the seed only decides how many
+        joins fall back to the exact path, never what any join is.
         """
         T = self.table
         H = orbit[0]
-        chain_H = _chain_of_ids(T, H.gen_ids)
+        chain_H = cache(lambda: _chain_of_ids(T, H.gen_ids))
         targets = self._targets_for(H, T.n // H.order)
         over = _Overgroups(H, recorded)
         smallest = over.smallest_containing(targets)
@@ -376,11 +386,18 @@ class SubgroupLattice:
             lower = T.join_lower_bounds(H, targets, limits).tolist()
         else:
             lower = [0] * len(targets)
+        cyclic = self._cyclic
+        cyclic_of = memoryview(self._elem_to_cyclic)  # indexes to Python ints
         all_join_full = True
         for j, x in enumerate(targets.tolist()):
             k = int(smallest[j])
             K = over.groups[k] if k < len(over.groups) else None
-            J = self._join_answer(H, chain_H, x, K, lower[j])
+            C = cyclic[cyclic_of[x]]  # ⟨x⟩
+            least = _least_join_order(
+                H.order, C.order, (H.bits & C.bits).bit_count(),
+                T.n if K is None else K.order,
+            )
+            J = self._join_answer(H, chain_H, x, K, max(lower[j], least))
             if J is None:
                 continue
             all_join_full = False
@@ -394,7 +411,7 @@ class SubgroupLattice:
     def _join_answer(
         self,
         H: SubgroupSet,
-        chain_H: StabilizerChain,
+        chain_H: Callable[[], StabilizerChain],
         x: int,
         K: SubgroupSet | None,
         lower: int,
@@ -403,17 +420,19 @@ class SubgroupLattice:
 
         K is the smallest known subgroup that properly contains H and
         contains x, so ⟨H, x⟩ ≤ K (≤ G when K is None).  When ``lower``, a
-        proven lower bound on |⟨H, x⟩|, passes |K|/2, the join is K.
-        Otherwise Schreier-Sims stops as soon as the order passes |K|/2, and
-        the join is again K, already known.  A join that stays at or below
-        |K|/2 is smaller than every known overgroup of H that holds x, so it
-        is a new subgroup, and only then are its elements built.
+        proven lower bound on |⟨H, x⟩| (from Lagrange or the prepass),
+        passes |K|/2, the join is K; it spends the join like any other
+        answer.  Otherwise Schreier-Sims from H's chain, which ``chain_H()``
+        builds on its first call, stops as soon as the order passes |K|/2,
+        and the join is again K, already known.  A join that stays at or
+        below |K|/2 is smaller than every known overgroup of H that holds x,
+        so it is a new subgroup, and only then are its elements built.
         """
         within = self.table.n if K is None else K.order
         if 2 * lower > within:
             self._spend_join()
             return K
-        chain = self._join(chain_H, x, within)
+        chain = self._join(chain_H(), x, within)
         if chain is None:
             return K
         self.joins_materialised += 1
@@ -633,6 +652,25 @@ class _Overgroups:
         one that contains it, or len(groups) when none does."""
         hit = (self._rows[:, xs >> 3] >> (xs & 7).astype(np.uint8)) & 1
         return np.argmax(hit, axis=0)
+
+
+def _least_join_order(h: int, o: int, meet: int, within: int) -> int:
+    """The least order Lagrange allows ⟨H, x⟩ inside a subgroup of order
+    ``within`` holding both, for |H| = h, o(x) = o and |H ∩ ⟨x⟩| = meet.
+
+    |⟨H, x⟩| divides ``within``, is a multiple of lcm(h, o) and is at least
+    |H⟨x⟩| = h o / meet, so it is at least the least divisor with both.
+    """
+    step, least = lcm(h, o), h * o // meet
+    quotients = _divisors(within // step)
+    return step * quotients[bisect_left(quotients, -(-least // step))]
+
+
+@cache
+def _divisors(n: int) -> tuple[int, ...]:
+    """The divisors of n, ascending."""
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return tuple(small + [n // d for d in reversed(small) if d * d != n])
 
 
 def _unit_generators(o: int) -> list[int]:

@@ -222,3 +222,25 @@ def test_table_skips_groups_over_the_cap(tmp_path, capsys):
     assert regression["M11"] == "skipped"
     # the rows up to sum 5 need no group of order over 50
     assert code == 0 and doc["ok"] is True
+
+
+def test_table_row_missing_only_skipped_groups_reads_skipped(tmp_path, capsys):
+    out_file = tmp_path / "table.json"
+    code, out, _ = run(
+        capsys, "table", "--max-sum", "10", "--cap", "60", "--node-budget", "1",
+        "--out", str(out_file),
+    )
+    doc = json.loads(out_file.read_text())
+    status = {e["spec"]: e["status"] for e in doc["sweep"]}
+    # AGL1(9) is over the cap, and Alt(5)'s cover search runs out of nodes
+    assert status["AGL1(9)"] == status["Alt(5)"] == "skipped"
+    rows = {r["sum"]: r for r in doc["rows"]}
+    assert rows[10]["computed"] == ["AffineSemilinear(9,4,1)"]
+    assert rows[10]["skipped"] == ["AGL1(9)", "Alt(5)"]
+    assert rows[10]["ok"] is True
+    # a row that lost no group carries no skipped key
+    assert all("skipped" not in r for s, r in rows.items() if s != 10)
+    assert doc["ok"] is True
+    assert "MISMATCH" not in out
+    assert "skipped: AGL1(9), Alt(5)" in out
+    assert code == 3

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 from collections import Counter
 
@@ -450,9 +451,42 @@ def _check_join_answers(spec: str, monkeypatch) -> list:
     return answers
 
 
-@pytest.mark.parametrize("spec", ["Sym(5)", "Alt(6)", "PGL2(7)"])
+@pytest.mark.parametrize(
+    "spec",
+    ["Sym(5)", "Alt(6)", "PGL2(7)", "Dihedral(6)", "Sym(4)", "Frobenius(13,4)",
+     "AGL1(9)"],
+)
 def test_every_join_answer_is_the_generated_subgroup(spec, monkeypatch):
     _check_join_answers(spec, monkeypatch)
+
+
+def _count_exact_joins(monkeypatch) -> list:
+    exact = []
+    join = SubgroupLattice._join
+
+    def counting(self, *args):
+        exact.append(1)
+        return join(self, *args)
+
+    monkeypatch.setattr(SubgroupLattice, "_join", counting)
+    return exact
+
+
+@pytest.mark.parametrize(
+    "spec, joins, exact",
+    [("ElemAbelian(17,2)", 288, 0), ("Frobenius(13,4)", 20, 1),
+     ("Dihedral(6)", 18, 4), ("Sym(4)", 28, 14)],
+)
+def test_lagrange_bound_answers_joins_without_schreier_sims(
+    spec, joins, exact, monkeypatch
+):
+    # none of these classes reaches the prepass: every join Schreier-Sims
+    # skips is one whose order Lagrange's theorem fixes
+    counted = _count_exact_joins(monkeypatch)
+    lat = _fresh_lattice(spec)
+    lat.maximal_subgroups()
+    assert lat.joins_spent == joins
+    assert len(counted) == exact
 
 
 @pytest.mark.parametrize("spec", ["Sym(5)", "Alt(6)", "PGL2(7)"])
@@ -496,14 +530,7 @@ def _fingerprint(lat: SubgroupLattice) -> list:
 def test_worklist_does_not_depend_on_the_prepass_seed(spec, min_targets, monkeypatch):
     if min_targets is not None:
         monkeypatch.setattr(lattice_module, "_PREPASS_MIN_TARGETS", min_targets)
-    exact = []
-    join = SubgroupLattice._join
-
-    def counting(self, *args):
-        exact.append(1)
-        return join(self, *args)
-
-    monkeypatch.setattr(SubgroupLattice, "_join", counting)
+    exact = _count_exact_joins(monkeypatch)
     prints = []
     for seed in (group_module._PREPASS_SEED, 1, 2):
         monkeypatch.setattr(group_module, "_PREPASS_SEED", seed)
@@ -512,6 +539,24 @@ def test_worklist_does_not_depend_on_the_prepass_seed(spec, min_targets, monkeyp
     assert prints[1] == prints[0] and prints[2] == prints[0]
     # the prepass ran: far fewer exact joins than joins spent
     assert len(exact) < 3 * prints[0][0] // 2
+
+
+# taken at the commit before the Lagrange join bound
+SMALL_CATALOG_LATTICES = (
+    "fa0d305b06d9e50b8aec49e66f1222fe40710056df646f444b849a86d190d6a9"
+)
+
+
+def test_small_catalog_lattices_pinned():
+    # every subgroup with its recorded generators and flags, the maximal
+    # and maximal cyclic lists and both join counts, of every catalog group
+    # of order <= 2000
+    h = hashlib.sha256()
+    for spec in manifest_upto(2000):
+        lat = _fresh_lattice(spec)
+        maximal_cyclic = [S.key for S in lat.maximal_cyclic_subgroups()]
+        h.update(f"{spec} {_fingerprint(lat)} {maximal_cyclic}\n".encode())
+    assert h.hexdigest() == SMALL_CATALOG_LATTICES
 
 
 @pytest.mark.parametrize(
