@@ -52,9 +52,9 @@ from .errors import (
     SpecError,
 )
 from .group import PermGroup, center
-from .lattice import SubgroupLattice, generated_subgroup, lattice
 from .perm import Permutation, parse_cycles
 from .subgroup import SubgroupSet
+from .subgroup_lattice import SubgroupLattice, generated_subgroup, lattice
 
 __version__ = "0.1.0"
 

@@ -9,13 +9,14 @@ quotient), the σ-elementary definition (σ drops strictly under every
 proper quotient), and the classification of σ-elementary groups by their
 covering number up to 25.
 
-No quotient group is built: σ(G/N), a C₂×C₂ quotient and a cyclic G/soc(G)
-are all read off G's own lattice and cover instance.
+No quotient group is built, and no subgroup from generators: σ(G/N), a
+C₂×C₂ quotient, a cyclic G/soc(G), the derived series and the socle are all
+read off G's own lattice, whose worklist lists every normal subgroup, and
+off G's one cover instance (:func:`~groupcover.cover.build_instance`).
 """
 
 from __future__ import annotations
 
-from copy import copy
 from dataclasses import dataclass, replace
 from math import factorial, lcm
 
@@ -28,6 +29,7 @@ from .cover import (
     Certificate,
     CoverInstance,
     SigmaResult,
+    build_instance,
     counting_certificate,
     enumerate_optimal_covers,
     greedy_upper_bound,
@@ -42,14 +44,13 @@ from .errors import (
     InvariantError,
 )
 from .group import DEFAULT_ELEMENT_CAP, PermGroup, center
-from .lattice import (
+from .subgroup import SubgroupSet, bits_from_ids
+from .subgroup_lattice import (
     DEFAULT_JOIN_BUDGET,
+    SubgroupLattice,
     _is_abelian_subgroup,
-    _small_generating_ids,
-    generated_subgroup,
     lattice,
 )
-from .subgroup import SubgroupSet
 
 
 @dataclass(frozen=True)
@@ -111,8 +112,7 @@ def _compute_sigma(G: PermGroup, opts: SigmaOptions) -> SigmaResult:
             cover=None,
             certificates=[],
         )
-    ins = copy(_instance(G, opts))
-    ins.forced, ins.certificates = [], []  # reduce extends these lists
+    ins = build_instance(G, cap=opts.cap, join_budget=opts.join_budget)
     reduce_instance(ins)  # unique-coverage forcing
     upper = len(greedy_upper_bound(ins))  # greedy extends the forced set
     sigma_fn = _child_sigma_fn(opts) if opts.sigma_forcing else None
@@ -159,15 +159,6 @@ def _compute_sigma(G: PermGroup, opts: SigmaOptions) -> SigmaResult:
     return result
 
 
-def _instance(G: PermGroup, opts: SigmaOptions) -> CoverInstance:
-    """G's unreduced cover instance, built once and shared by σ(G), the
-    table's root bound and every σ(G/N)."""
-    lat = lattice(G, cap=opts.cap, join_budget=opts.join_budget)
-    if "instance" not in G._cache:
-        G._cache["instance"] = CoverInstance(G, lat)
-    return G._cache["instance"]
-
-
 def _best_counting_certificate(ins: CoverInstance) -> Certificate:
     return max(
         (counting_certificate(ins, k) for k in sorted(ins.order_bits)),
@@ -193,19 +184,20 @@ def _child_sigma_fn(opts: SigmaOptions):
 
 
 def derived_subgroup(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP) -> SubgroupSet:
-    """The commutator subgroup, as a subgroup set on G's element table."""
+    """The commutator subgroup, read off G's normal subgroups (this runs
+    G's subgroup-lattice worklist)."""
     lat = lattice(G, cap=cap)
-    T = lat.table
-    return _derived_of(T, T.generator_ids())
+    return _derived_of(lat, lat.table.generator_ids())
 
 
 def derived_series(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP) -> list[SubgroupSet]:
-    """G ⊇ G' ⊇ G'' ⊇ … until it stabilizes."""
+    """G ⊇ G' ⊇ G'' ⊇ … until it stabilizes; every term after G is one of
+    G's normal subgroups (this runs G's subgroup-lattice worklist)."""
     lat = lattice(G, cap=cap)
     T = lat.table
     series = [SubgroupSet(T, (1 << T.n) - 1, gen_ids=T.generator_ids())]
     while True:
-        S = _derived_of(T, series[-1].gen_ids)
+        S = _derived_of(lat, series[-1].gen_ids)
         if S.order == series[-1].order:
             break
         series.append(S)
@@ -215,12 +207,21 @@ def derived_series(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP) -> list[Subgrou
 
 
 def is_solvable(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP) -> bool:
+    """Whether the derived series reaches 1.  This runs G's subgroup-lattice
+    worklist, which every caller in the package (Tomkinson's formula, the
+    solvable σ-elementary check) runs anyway."""
     return derived_series(G, cap=cap)[-1].order == 1
 
 
-def _derived_of(T, gen_ids: list[int]) -> SubgroupSet:
-    """Derived subgroup of ⟨gen_ids⟩: normal closure (inside the subgroup)
-    of the commutators of generator pairs."""
+def _derived_of(lat: SubgroupLattice, gen_ids: list[int]) -> SubgroupSet:
+    """The derived subgroup D of a normal subgroup N = ⟨gen_ids⟩ of G: the
+    least normal subgroup K of G holding the commutators of the generators.
+
+    D is characteristic in N ⊴ G, so normal in G, and holds them, so K ≤ D;
+    K is normal in N and N/K is generated by commuting images, so it is
+    abelian and D ≤ K.
+    """
+    T = lat.table
     ids = np.asarray(gen_ids, dtype=np.intp)
     a, b = np.repeat(ids, len(ids)), np.tile(ids, len(ids))
     # a^-1 b^-1 a b: apply a^-1, then b^-1, then a, then b
@@ -228,20 +229,7 @@ def _derived_of(T, gen_ids: list[int]) -> SubgroupSet:
     comm = T.rows[T.inverse[a]]
     for step in (T.rows[T.inverse[b]], T.rows[a], T.rows[b]):
         comm = step[at, comm]
-    seen = np.zeros(T.n, dtype=bool)
-    seen[T.lookup_rows(comm)] = True
-    seen[T.identity_id] = False
-    if not seen.any():
-        return SubgroupSet(T, 1 << T.identity_id, gen_ids=[])
-    # close the seed set under conjugation by the subgroup's generators
-    frontier = np.flatnonzero(seen)
-    while len(frontier):
-        images = np.concatenate([T.conj_rows(frontier, h) for h in gen_ids])
-        new = np.zeros(T.n, dtype=bool)  # np.unique would import numpy.ma
-        new[images[~seen[images]]] = True
-        frontier = np.flatnonzero(new)
-        seen[frontier] = True
-    return generated_subgroup(T, _small_generating_ids(T, np.flatnonzero(seen)))
+    return lat.normal_closure(bits_from_ids(T.lookup_rows(comm)))
 
 
 def has_klein_quotient(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP) -> bool:
@@ -267,7 +255,9 @@ def is_sigma_elementary(
     opts = opts or SigmaOptions()
     s_G = sigma_value(G, opts)
     lat = lattice(G, cap=opts.cap, join_budget=opts.join_budget)
-    ins = None if G.is_cyclic() else _instance(G, opts)
+    ins = None if G.is_cyclic() else build_instance(
+        G, cap=opts.cap, join_budget=opts.join_budget
+    )
     quotient_sigmas: dict = {}
     witness = None
     for N in lat.normal_subgroups():
@@ -653,7 +643,7 @@ def _sweep_one(
 ) -> dict:
     if G.is_cyclic():
         return {"sigma": INFINITY, "elementary": False, "status": "cyclic"}
-    ins = _instance(G, opts)
+    ins = build_instance(G, cap=opts.cap, join_budget=opts.join_budget)
     root_bound = ins.residual_lower_bound(
         1 << ins.table.identity_id, (1 << len(ins.cols)) - 1
     )

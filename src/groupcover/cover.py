@@ -24,15 +24,21 @@ contain N.
 from __future__ import annotations
 
 import math
+from copy import copy
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import BudgetExhaustedError, CyclicGroupError, InvariantError
 from .group import DEFAULT_ELEMENT_CAP, PermGroup, StabilizerChain
-from .lattice import DEFAULT_JOIN_BUDGET, SubgroupLattice, _subgroup_from_chain, lattice
 from .perm import parse_cycles
 from .subgroup import SubgroupSet, bits_from_ids
+from .subgroup_lattice import (
+    DEFAULT_JOIN_BUDGET,
+    SubgroupLattice,
+    _subgroup_from_chain,
+    lattice,
+)
 
 DEFAULT_NODE_BUDGET = 10**8
 
@@ -194,8 +200,18 @@ def build_instance(
     cap: int = DEFAULT_ELEMENT_CAP,
     join_budget: int = DEFAULT_JOIN_BUDGET,
 ) -> CoverInstance:
-    """The set-cover instance for a non-cyclic group."""
-    return CoverInstance(G, lattice(G, cap=cap, join_budget=join_budget))
+    """The set-cover instance for a non-cyclic group.
+
+    The incidence is built once per group and cached on it; each call gets a
+    shallow copy of it whose ``forced`` and ``certificates`` lists start
+    empty, so :func:`reduce` on one copy leaves every other copy unreduced.
+    """
+    lat = lattice(G, cap=cap, join_budget=join_budget)
+    if "instance" not in G._cache:
+        G._cache["instance"] = CoverInstance(G, lat)
+    ins = copy(G._cache["instance"])
+    ins.forced, ins.certificates = [], []
+    return ins
 
 
 def counting_lower_bound(G: PermGroup, k: int, cap: int = DEFAULT_ELEMENT_CAP) -> Certificate:

@@ -110,7 +110,7 @@ class Permutation:
         return out
 
     def order(self) -> int:
-        return lcm(*(len(c) for c in self.cycles())) if self.cycles() else 1
+        return lcm(*(len(c) for c in self.cycles()))  # lcm() is 1
 
     def cycle_string(self) -> str:
         cycs = self.cycles()

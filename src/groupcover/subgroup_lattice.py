@@ -520,17 +520,22 @@ class SubgroupLattice:
         return out
 
     def socle(self) -> SubgroupSet:
-        mins = self.minimal_normal_subgroups()
-        if not mins:
-            return SubgroupSet(
-                self.table, bits_from_ids([self.table.identity_id]), gen_ids=[]
-            )
-        gen_ids: list[int] = []
-        for S in mins:
-            gen_ids.extend(int(i) for i in S.gen_ids)
-        soc = generated_subgroup(self.table, gen_ids)
-        soc.is_normal = True
-        return soc
+        """The subgroup generated by the minimal normal subgroups, which is
+        normal, so the normal closure of their union."""
+        bits = 0
+        for S in self.minimal_normal_subgroups():
+            bits |= S.bits
+        return self.normal_closure(bits)
+
+    def normal_closure(self, bits: int) -> SubgroupSet:
+        """The least normal subgroup holding every element of the bitmask,
+        read off :meth:`normal_subgroups`: normal subgroups are closed under
+        intersection, so the one of least order among those holding the
+        elements lies in all the others."""
+        return min(
+            (N for N in self.normal_subgroups() if N.bits & bits == bits),
+            key=lambda N: N.order,
+        )
 
     def frattini(self) -> SubgroupSet:
         """Intersection of all maximal subgroups."""
@@ -705,19 +710,6 @@ def _orbit_minima(perms: list[np.ndarray], size: int) -> np.ndarray:
         if np.array_equal(new, label):
             return label
         label = new
-
-
-def _small_generating_ids(T: ElementTable, ids) -> list[int]:
-    """A short generating list for the subgroup formed by the given IDs."""
-    chain = StabilizerChain(T.degree)
-    kept: list[int] = []
-    for i in ids:
-        i = int(i)
-        if i == T.identity_id:
-            continue
-        if chain.add_generator(_row_tuple(T, i)):
-            kept.append(i)
-    return kept
 
 
 def _is_abelian_subgroup(T: ElementTable, gen_ids: list[int]) -> bool:

@@ -8,14 +8,18 @@ import pytest
 
 from groupcover import (
     BudgetExhaustedError,
+    CoverInstance,
     CyclicGroupError,
     INFINITY,
+    PermGroup,
     build_instance,
     counting_lower_bound,
     enumerate_optimal_covers,
     greedy_upper_bound,
+    is_sigma_elementary,
     lattice,
     reduce as reduce_instance,
+    sigma,
     solve_exact,
     verify_cover,
 )
@@ -53,6 +57,31 @@ def test_instance_rejects_cyclic():
         build_instance(grp("Cyclic(6)"))
     with pytest.raises(CyclicGroupError):
         build_instance(grp("Cyclic(30)"))
+
+
+def test_one_instance_build_per_group(monkeypatch):
+    builds = []
+    init = CoverInstance.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CoverInstance, "__init__", counting_init)
+    base = grp("Alt(5)")
+    G = PermGroup(list(base.generators), degree=base.degree, name="Alt(5)")
+    assert sigma(G).sigma == 10
+    assert is_sigma_elementary(G).is_elementary
+    assert counting_lower_bound(G, 5).payload["bound"] == 6
+    ins = build_instance(G)
+    assert len(builds) == 1
+    # each copy reduces on its own lists and shares the incidence
+    reduce_instance(ins)
+    assert ins.forced and ins.certificates
+    later = build_instance(G)
+    assert later.forced == [] and later.certificates == []
+    assert later.col_rows is ins.col_rows
+    assert len(builds) == 1
 
 
 def test_instance_is_deterministic():

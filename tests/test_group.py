@@ -285,7 +285,7 @@ def test_fresh_builds_are_deterministic():
     def build(spec):
         base = construct(spec)
         G = PermGroup(list(base.generators), degree=base.degree, name=spec)
-        from groupcover.lattice import SubgroupLattice
+        from groupcover.subgroup_lattice import SubgroupLattice
 
         lat = SubgroupLattice(G)
         return (

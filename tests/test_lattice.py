@@ -4,26 +4,31 @@ from __future__ import annotations
 
 import hashlib
 import importlib
+import inspect
 from collections import Counter
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import groupcover
 from groupcover import (
     BudgetExhaustedError,
     PermGroup,
     SigmaOptions,
     center,
     construct,
+    derived_series,
     generated_subgroup,
+    is_solvable,
     lattice,
     parse_cycles,
     sigma,
     tomkinson_sigma,
 )
-from groupcover.lattice import SubgroupLattice, _chain_of_ids
+from groupcover.subgroup_lattice import SubgroupLattice, _chain_of_ids
 
-# the package binds the name groupcover.lattice to the function lattice()
-lattice_module = importlib.import_module("groupcover.lattice")
+lattice_module = importlib.import_module("groupcover.subgroup_lattice")
 group_module = importlib.import_module("groupcover.group")
 
 from conftest import brute_of, grp, manifest_upto, subgroup_ids
@@ -174,6 +179,58 @@ def test_normal_subgroups_against_brute_force():
             s for s in bg.all_subgroups() if bg.is_subgroup_normal(s)
         }
         assert {subgroup_ids(N) for N in lat.normal_subgroups()} == brute_normals, spec
+
+
+def _brute_closure(bg, ids) -> frozenset[int]:
+    rows, cols = bg.mul.tolist(), bg.mul.T.tolist()
+    return coset_closure(rows, cols, [bg.identity_id], sorted(set(ids)))
+
+
+def _brute_derived_series(bg) -> list[frozenset[int]]:
+    """Each term the closure of every commutator of the one before."""
+    inv = np.argmax(bg.mul == bg.identity_id, axis=1)
+    series = [frozenset(range(bg.n))]
+    while True:
+        a = np.array(sorted(series[-1]))
+        # a^-1 b^-1 a b, with mul[x, y] the id of (apply x, then y)
+        comm = bg.mul[bg.mul[bg.mul[inv[a][:, None], inv[a][None, :]], a[:, None]], a]
+        D = _brute_closure(bg, comm.ravel().tolist())
+        if D == series[-1]:
+            return series
+        series.append(D)
+        if len(D) == 1:
+            return series
+
+
+def _brute_socle(bg) -> frozenset[int]:
+    """The closure of the union of the minimal normal subgroups."""
+    normals = [
+        s for s in bg.all_subgroups() if len(s) > 1 and bg.is_subgroup_normal(s)
+    ]
+    minimal = [s for s in normals if not any(t < s for t in normals)]
+    return _brute_closure(bg, [x for s in minimal for x in s])
+
+
+def test_derived_series_and_socle_against_brute_force_upto_200():
+    specs = manifest_upto(200)
+    assert len(specs) >= 45
+    for spec in specs:
+        G = grp(spec)
+        bg = brute_of(spec)
+        series = _brute_derived_series(bg)
+        assert [subgroup_ids(S) for S in derived_series(G)] == series, spec
+        assert is_solvable(G) == (len(series[-1]) == 1), spec
+        assert subgroup_ids(lattice(G).socle()) == _brute_socle(bg), spec
+
+
+def test_every_module_imports_as_a_module():
+    # ``import groupcover.<name> as m`` binds the package attribute <name>,
+    # which is not the module when the package reuses the name for a function
+    for path in sorted(Path(groupcover.__file__).parent.glob("*.py")):
+        if path.stem != "__init__":
+            scope: dict = {}
+            exec(f"import groupcover.{path.stem} as m", scope)
+            assert inspect.ismodule(scope["m"]), path.stem
 
 
 def test_conjugates_and_normality():
@@ -401,7 +458,7 @@ def test_sigma_cover_generators_pinned(spec):
 
 
 def test_join_that_reaches_g_returns_no_chain():
-    from groupcover.lattice import _chain_of_ids
+    from groupcover.subgroup_lattice import _chain_of_ids
 
     lat = _fresh_lattice("Sym(4)")
     T = lat.table

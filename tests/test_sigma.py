@@ -231,7 +231,7 @@ def _fresh(spec: str):
 
 
 def test_quotient_facts_build_no_quotient_group(monkeypatch):
-    from groupcover.lattice import SubgroupLattice
+    from groupcover.subgroup_lattice import SubgroupLattice
 
     def no_quotient(self, N):
         raise AssertionError("a quotient group was built")
@@ -265,6 +265,45 @@ def test_quotient_facts_build_no_quotient_group(monkeypatch):
     assert not has_klein_quotient(C6)
     with pytest.raises(ValueError, match="abelian"):
         solvable_elementary_check(C6)
+
+
+def test_structure_queries_build_no_subgroup_from_generators(monkeypatch):
+    from groupcover.group import StabilizerChain
+
+    # derived orders, solvable, socle order, abelian minimal normal
+    # subgroups, and the solvable report (None when G is not solvable)
+    cases = {
+        "Sym(4)": ([24, 12, 4, 1], True, 4, 1, (True, 4, False, False, False, 4)),
+        "AGL1(16)": ([240, 16, 1], True, 16, 1, (True, 16, True, True, True, 17)),
+        "Alt(5)": ([60], False, 60, 0, None),
+        "PGammaL2(9)": ([1440, 360], False, 360, 0, None),
+    }
+    groups = {spec: _fresh(spec) for spec in cases}
+    for G in groups.values():
+        lattice(G).normal_subgroups()
+
+    def no_chain(self, z, level=0):
+        raise AssertionError("a subgroup was built from generators")
+
+    monkeypatch.setattr(StabilizerChain, "add_generator", no_chain)
+    keys = ("monolithic", "socle_order", "cyclic_over_socle",
+            "predicted_elementary", "computed_elementary", "sigma")
+    for spec, (orders, solvable, socle, abelian_minimals, report) in cases.items():
+        G = groups[spec]
+        # G' is the second term, or G itself when G is perfect
+        assert derived_subgroup(G).order == (orders[1:] or orders)[0], spec
+        assert [S.order for S in derived_series(G)] == orders, spec
+        assert is_solvable(G) == solvable, spec
+        assert lattice(G).socle().order == socle, spec
+        if report is None:
+            with pytest.raises(ValueError, match="not solvable"):
+                solvable_elementary_check(G)
+        else:
+            rep = solvable_elementary_check(G)
+            assert rep == {"group": spec, **dict(zip(keys, report)), "ok": True}
+        audit = structural_audit(G)
+        assert audit["abelian_minimal_normal_count"] == abelian_minimals, spec
+        assert audit["ok"], spec
 
 
 def test_solvable_elementary_check():
