@@ -9,10 +9,12 @@ quotient), the σ-elementary definition (σ drops strictly under every
 proper quotient), and the classification of σ-elementary groups by their
 covering number up to 25.
 
-No quotient group is built, and no subgroup from generators: σ(G/N), a
-C₂×C₂ quotient, a cyclic G/soc(G), the derived series and the socle are all
-read off G's own lattice, whose worklist lists every normal subgroup, and
-off G's one cover instance (:func:`~groupcover.cover.build_instance`).
+No quotient group is built: σ(G/N), a C₂×C₂ quotient, a cyclic G/soc(G),
+the derived series and the socle are all read off G's own lattice, whose
+worklist lists every normal subgroup, and off G's one cover instance
+(:func:`~groupcover.cover.build_instance`).  The one subgroup built from
+generators is each maximal class's representative under ``sigma_forcing``,
+whose own σ decides whether the class is forced.
 """
 
 from __future__ import annotations
@@ -45,12 +47,7 @@ from .errors import (
 )
 from .group import DEFAULT_ELEMENT_CAP, PermGroup, center
 from .subgroup import SubgroupSet, bits_from_ids
-from .subgroup_lattice import (
-    DEFAULT_JOIN_BUDGET,
-    SubgroupLattice,
-    _is_abelian_subgroup,
-    lattice,
-)
+from .subgroup_lattice import DEFAULT_JOIN_BUDGET, SubgroupLattice, lattice
 
 
 @dataclass(frozen=True)
@@ -103,48 +100,30 @@ def sigma_value(G: PermGroup, opts: SigmaOptions | None = None):
 
 
 def _compute_sigma(G: PermGroup, opts: SigmaOptions) -> SigmaResult:
+    result = SigmaResult(group=G.label(), order=G.order(), degree=G.degree)
     if G.is_cyclic():
-        return SigmaResult(
-            group=G.label(),
-            order=G.order(),
-            degree=G.degree,
-            sigma=INFINITY,
-            cover=None,
-            certificates=[],
-        )
+        result.sigma = INFINITY
+        return result
     ins = build_instance(G, cap=opts.cap, join_budget=opts.join_budget)
     reduce_instance(ins)  # unique-coverage forcing
     upper = len(greedy_upper_bound(ins))  # greedy extends the forced set
-    sigma_fn = _child_sigma_fn(opts) if opts.sigma_forcing else None
-    reduce_instance(ins, upper_bound=upper, sigma_fn=sigma_fn)
-    certificates = list(ins.certificates) + [_best_counting_certificate(ins)]
+    if opts.sigma_forcing:
+        reduce_instance(ins, upper_bound=upper, sigma_fn=_child_sigma_fn(opts))
+    result.certificates = list(ins.certificates) + [_best_counting_certificate(ins)]
     try:
-        value, cover_idx, stats = solve_exact(ins, node_budget=opts.node_budget)
+        value, cover_idx, result.stats = solve_exact(ins, node_budget=opts.node_budget)
     except BudgetExhaustedError as e:
-        return SigmaResult(
-            group=G.label(),
-            order=G.order(),
-            degree=G.degree,
-            sigma=None,
-            cover=[],
-            certificates=certificates,
-            interval=(e.lower or 1, e.upper if e.upper is not None else upper),
-            stats={"nodes": opts.node_budget},
-        )
-    result = SigmaResult(
-        group=G.label(),
-        order=G.order(),
-        degree=G.degree,
-        sigma=value,
-        cover=[ins.describe_col(j) for j in cover_idx],
-        certificates=certificates,
-        stats=stats,
-    )
-    for cert in certificates:
+        result.cover = []
+        result.interval = (e.lower or 1, e.upper if e.upper is not None else upper)
+        result.stats = {"nodes": opts.node_budget}
+        return result
+    for cert in result.certificates:
         if cert.kind == "counting-bound" and cert.payload["bound"] > value:
             raise InvariantError(
                 f"counting bound {cert.payload['bound']} exceeds sigma {value}"
             )
+    result.sigma = value
+    result.cover = [ins.describe_col(j) for j in cover_idx]
     if opts.enumerate_all:
         try:
             count, covers, exact = enumerate_optimal_covers(
@@ -154,7 +133,6 @@ def _compute_sigma(G: PermGroup, opts: SigmaOptions) -> SigmaResult:
             return result  # σ stands; the count and uniqueness stay unknown
         result.optimal_count = count
         result.unique = (count == 1) if exact else False
-        result.stats = dict(result.stats)
         result.stats["optimal_covers"] = count
     return result
 
@@ -320,13 +298,14 @@ def solvable_elementary_check(G: PermGroup, opts: SigmaOptions | None = None) ->
     """For solvable non-abelian G: σ-elementary ⟺ monolithic with cyclic
     quotient over the socle, and then σ = |soc(G)| + 1."""
     opts = opts or SigmaOptions()
+    lat = lattice(G, cap=opts.cap, join_budget=opts.join_budget)
+    lat.maximal_subgroups()  # the worklist runs under this call's join budget
     if not is_solvable(G, cap=opts.cap):
         raise ValueError(f"{G.label()} is not solvable")
     if G.is_abelian():
         raise ValueError(
             f"{G.label()} is abelian: the monolithic-socle test does not apply"
         )
-    lat = lattice(G, cap=opts.cap, join_budget=opts.join_budget)
     minimals = lat.minimal_normal_subgroups()
     soc = lat.socle()
     # G/S is cyclic exactly when CS = G for some maximal cyclic C
@@ -365,10 +344,11 @@ def structural_audit(G: PermGroup, opts: SigmaOptions | None = None) -> dict:
     lat = lattice(G, cap=opts.cap, join_budget=opts.join_budget)
     phi = lat.frattini()
     z = center(G, cap=opts.cap)
+    # a minimal normal N is abelian exactly when N' = 1
     abelian_minimals = [
         N
         for N in lat.minimal_normal_subgroups()
-        if _is_abelian_subgroup(lat.table, N.gen_ids)
+        if _derived_of(lat, N.gen_ids).order == 1
     ]
     report = {
         "group": G.label(),
@@ -533,7 +513,6 @@ def classification_report(
     """
     opts = opts or SigmaOptions()
     sweep: list[dict] = []
-    computed_rows: dict[int, list[str]] = {s: [] for s in range(3, max_sum + 1)}
     regression: list[dict] = []
     flags: list[str] = []
     ok = True
@@ -546,7 +525,7 @@ def classification_report(
             "degree": G.degree,
         }
         try:
-            entry.update(_sweep_one(G, spec_text, max_sum, opts, computed_rows))
+            entry.update(_sweep_one(G, spec_text, max_sum, opts))
         except BudgetExhaustedError as e:
             entry["status"] = "skipped"
             entry["interval"] = [e.lower, e.upper]
@@ -580,30 +559,39 @@ def classification_report(
             if row["status"] == "mismatch":
                 ok = False
 
-    # fold isomorphic duplicates into their canonical spelling
-    for s, specs in computed_rows.items():
-        canonical: list[str] = []
-        for name in specs:
-            alias = ISOMORPHIC_ALIASES.get(name)
-            if alias is not None:
-                if alias not in specs:
-                    ok = False
-                    flags.append(
-                        f"{name}: isomorphic partner {alias} missing from sum {s}"
-                    )
-                else:
-                    flags.append(
-                        f"{name}: same group as {alias}, listed once under sum {s}"
-                    )
-                continue
-            canonical.append(name)
-        computed_rows[s] = canonical
+    # each isomorphic duplicate folds into its canonical spelling and must
+    # agree with it on σ; fold notes come by sum, then in manifest order
+    entries = {e["spec"]: e for e in sweep}
+    fold_flags: list[tuple[int, int, str]] = []
+    pair_flags: list[str] = []
+    for name, alias in ISOMORPHIC_ALIASES.items():
+        a, b = entries.get(name, {}), entries.get(alias, {})
+        if a and b and a.get("sigma") != b.get("sigma"):
+            ok = False
+            pair_flags.append(
+                f"isomorphic pair disagrees: {name} -> {a.get('sigma')}, "
+                f"{alias} -> {b.get('sigma')}"
+            )
+        s = a.get("listed_sum")
+        if s is None:
+            continue
+        if b.get("listed_sum") == s:
+            note = f"{name}: same group as {alias}, listed once under sum {s}"
+        else:
+            ok = False
+            note = f"{name}: isomorphic partner {alias} missing from sum {s}"
+        fold_flags.append((s, MANIFEST.index(name), note))
+    flags += [note for _, _, note in sorted(fold_flags)] + pair_flags
 
     skipped = {e["spec"] for e in sweep if e.get("status") == "skipped"}
     rows = []
     for s in range(3, max_sum + 1):
         expected = sorted(EXPECTED_CLASSIFICATION.get(s, ()))
-        got = sorted(computed_rows[s])
+        got = sorted(
+            e["spec"]
+            for e in sweep
+            if e.get("listed_sum") == s and e["spec"] not in ISOMORPHIC_ALIASES
+        )
         # a skipped group was never decided, so its absence is no mismatch
         lost = [name for name in expected if name in skipped and name not in got]
         row = {"sum": s, "expected": expected, "computed": got}
@@ -613,16 +601,6 @@ def classification_report(
         rows.append(row)
         if not row["ok"]:
             ok = False
-
-    for pair_spec, canonical_spec in ISOMORPHIC_ALIASES.items():
-        a = next((e for e in sweep if e["spec"] == pair_spec), None)
-        b = next((e for e in sweep if e["spec"] == canonical_spec), None)
-        if a and b and a.get("sigma") != b.get("sigma"):
-            ok = False
-            flags.append(
-                f"isomorphic pair disagrees: {pair_spec} -> {a.get('sigma')}, "
-                f"{canonical_spec} -> {b.get('sigma')}"
-            )
 
     return {
         "max_sum": max_sum,
@@ -634,13 +612,7 @@ def classification_report(
     }
 
 
-def _sweep_one(
-    G: PermGroup,
-    spec_text: str,
-    max_sum: int,
-    opts: SigmaOptions,
-    computed_rows: dict[int, list[str]],
-) -> dict:
+def _sweep_one(G: PermGroup, spec_text: str, max_sum: int, opts: SigmaOptions) -> dict:
     if G.is_cyclic():
         return {"sigma": INFINITY, "elementary": False, "status": "cyclic"}
     ins = build_instance(G, cap=opts.cap, join_budget=opts.join_budget)
@@ -667,7 +639,6 @@ def _sweep_one(
         verdict = is_sigma_elementary(G, opts)
         out["elementary"] = verdict.is_elementary
         if verdict.is_elementary:
-            computed_rows[res.sigma].append(spec_text)
             out["listed_sum"] = res.sigma
         elif verdict.witness is not None:
             out["witness_quotient_sigma"] = _jsonable(

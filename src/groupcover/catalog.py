@@ -245,17 +245,16 @@ def _vector_points(p: int, dim: int) -> list[tuple[int, ...]]:
     return pts
 
 
-def _projective_points(p: int, dim: int) -> list[tuple[int, ...]]:
-    def normalize(v):
-        lead = next(c for c in v if c)
-        inv = pow(lead, p - 2, p) if p > 2 else 1
-        return tuple(c * inv % p for c in v)
+def _projective_normal(v: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """The multiple of a non-zero vector whose first non-zero entry is 1."""
+    inv = pow(next(c for c in v if c), -1, p)
+    return tuple(c * inv % p for c in v)
 
-    seen = []
-    for v in _vector_points(p, dim):
-        if any(v) and normalize(v) == v:
-            seen.append(v)
-    return seen
+
+def _projective_points(p: int, dim: int) -> list[tuple[int, ...]]:
+    return [
+        v for v in _vector_points(p, dim) if any(v) and _projective_normal(v, p) == v
+    ]
 
 
 def _matrix_perm(M, points: list[tuple[int, ...]], p: int, normalize: bool) -> Permutation:
@@ -263,10 +262,8 @@ def _matrix_perm(M, points: list[tuple[int, ...]], p: int, normalize: bool) -> P
     images = []
     for v in points:
         w = tuple(sum(M[i][j] * v[j] for j in range(len(v))) % p for i in range(len(v)))
-        if normalize and any(w):
-            lead = next(c for c in w if c)
-            inv = pow(lead, p - 2, p) if p > 2 else 1
-            w = tuple(c * inv % p for c in w)
+        if normalize:  # an invertible M maps the non-zero points to non-zero w
+            w = _projective_normal(w, p)
         images.append(index[w] + 1)
     return Permutation(images)
 

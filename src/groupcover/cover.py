@@ -70,9 +70,9 @@ class SigmaResult:
     group: str
     order: int
     degree: int
-    sigma: object  # int, INFINITY, or None when only an interval is known
-    cover: list  # list of subgroups, each a list of generator cycle strings
-    certificates: list
+    sigma: object = None  # int, INFINITY, or None when only an interval is known
+    cover: list | None = None  # subgroups, each a list of generator cycle strings
+    certificates: list = field(default_factory=list)
     unique: object = None  # True/False/None-unknown
     optimal_count: object = None  # int, a ">= n" string, or None
     interval: tuple | None = None
@@ -306,10 +306,9 @@ def reduce(
             lo, _hi = sigma_fn(H)
             if not lo > upper_bound:
                 continue
-            members = [j] if M.is_normal else [
-                key_to_idx[O.key] for O in orbit if O.key in key_to_idx
-            ]
-            for c in sorted(members):
+            # every conjugate of a maximal subgroup is a column; a normal
+            # one is its own orbit
+            for c in sorted(key_to_idx[O.key] for O in orbit):
                 if c not in forced:
                     forced.add(c)
                     instance.certificates.append(

@@ -712,13 +712,6 @@ def _orbit_minima(perms: list[np.ndarray], size: int) -> np.ndarray:
         label = new
 
 
-def _is_abelian_subgroup(T: ElementTable, gen_ids: list[int]) -> bool:
-    rows = T.rows[np.asarray(gen_ids, dtype=np.intp)]
-    # [i, j] is the row of "apply gen i, then gen j"
-    prods = rows[np.arange(len(rows))[None, :, None], rows[:, None, :]]
-    return bool((prods == prods.transpose(1, 0, 2)).all())
-
-
 def lattice(
     G: PermGroup,
     cap: int = DEFAULT_ELEMENT_CAP,

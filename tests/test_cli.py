@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+
+import pytest
 
 from groupcover.cli import main
 
@@ -201,6 +204,49 @@ def test_table_text_and_json(tmp_path, capsys):
     # the printed text table mentions the flagship rows
     assert "M11" in out
     assert "Sym(6)" in out
+    # both documents are pinned byte for byte
+    assert _sha256(out_file.read_bytes()) == (
+        "39669d1546c05fd778b8832db17503971d5ab565a1b1a72cc846ddda960da964"
+    )
+    assert _sha256(out.encode()) == (
+        "cdcbbf64f1cd23a649e6156ca055b346a7fdc6954f19b7faacb2351f7b399f70"
+    )
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+# the sigma and elementary documents every change must leave byte-identical
+_PINNED_DOCUMENTS = [
+    ("sigma catalog:M11",
+     "1930782aaa0c2782794d6c56d676c937f97752b9eb1c0684bdbd475f0edebee9"),
+    ("sigma catalog:PGammaL2(8) --enumerate-all",
+     "04756a653982c54bc8408e10d473f9fba11c6c9328f693e4db92c9dbf85be468"),
+    ("sigma catalog:PGammaL2(8) --enumerate-all --sigma-forcing",
+     "1f88403ebed40213040bfccfee1a8b9f45e5c4bb91ed618e47856c97967052fb"),
+    ("sigma catalog:Cyclic(12)",
+     "1f5d4883abc0a4e5db8914b4650e7eca883aa19e131c53e2b494c4309e3076a2"),
+    ("elementary catalog:Sym(4)",
+     "c6ee7ddbd53382d42941a713f71162271280bdeacf5fd01c344c0948d00dba91"),
+    ("elementary catalog:Cyclic(6)",
+     "dd2ba764262688bd5319be32ce534688b0bd14ef9450e723cc5face36930232b"),
+    ("elementary catalog:PGammaL2(9)",
+     "c7ff93b9d3aa0ffb5683af94202bd367617ec69c8c9076fbbec272ca2b2eb7a6"),
+    ("elementary catalog:AGL1(16)",
+     "8391fad33713e45ba7fdd21b26151c471d59d917f8ba930d8ca005028282b9d6"),
+    ("elementary catalog:Alt(5)",
+     "c5623bc1a109b02777f6c0e976bbc91511c375e25d3cb56ecdd6c9781c5eda44"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, digest", _PINNED_DOCUMENTS, ids=[c for c, _ in _PINNED_DOCUMENTS]
+)
+def test_documents_are_pinned(capsys, command, digest):
+    code, out, _ = run(capsys, *command.split())
+    assert code == 0
+    assert _sha256(out.encode()) == digest
 
 
 def test_table_skips_groups_over_the_cap(tmp_path, capsys):

@@ -328,6 +328,18 @@ def test_solvable_elementary_check():
         solvable_elementary_check(grp("ElemAbelian(5,2)"))
 
 
+def test_solvable_elementary_check_keeps_the_join_budget():
+    G = _fresh("Sym(4)")  # its worklist needs 28 joins
+    with pytest.raises(BudgetExhaustedError):
+        solvable_elementary_check(G, SigmaOptions(join_budget=3))
+    keys = ("monolithic", "socle_order", "cyclic_over_socle",
+            "predicted_elementary", "computed_elementary", "sigma")
+    assert solvable_elementary_check(G) == {
+        "group": "Sym(4)", **dict(zip(keys, (True, 4, False, False, False, 4))),
+        "ok": True,
+    }
+
+
 def test_structural_audit():
     for spec in ["Alt(5)", "Sym(3)", "PSL3(2)", "Sym(6)", "AGL1(8)"]:
         rep = structural_audit(grp(spec))
@@ -508,3 +520,23 @@ def test_expectation_tables_are_well_formed():
     for name, rec in SIGMA_EXPECTATIONS.items():
         assert name in MANIFEST
         assert isinstance(rec["sigma"], int) and rec["sigma"] >= 3
+
+
+def test_alias_fold_flags_a_partner_outside_the_row(monkeypatch):
+    from groupcover import analysis
+
+    # PSL2(7) is not Alt(5): the fold finds no partner in its row, and the
+    # pair disagrees on σ; PSL2(9) and Alt(6) fold as usual
+    monkeypatch.setattr(
+        analysis, "ISOMORPHIC_ALIASES", {"PSL2(7)": "Alt(5)", "PSL2(9)": "Alt(6)"}
+    )
+    report = analysis.classification_report(16, SigmaOptions(cap=400))
+    assert report["ok"] is False
+    assert report["flags"][-3:] == [
+        "PSL2(7): isomorphic partner Alt(5) missing from sum 15",
+        "PSL2(9): same group as Alt(6), listed once under sum 16",
+        "isomorphic pair disagrees: PSL2(7) -> 15, Alt(5) -> 10",
+    ]
+    rows = {r["sum"]: r["computed"] for r in report["rows"]}
+    assert rows[15] == ["PSL3(2)"]
+    assert rows[16] == ["Alt(6)", "Sym(5)"]
