@@ -290,14 +290,19 @@ def reduce(
     if sigma_fn is not None:
         if upper_bound is None:
             upper_bound = len(greedy_upper_bound(instance))
+        # every conjugate of a maximal subgroup is a column; a normal one
+        # is its own class
         key_to_idx = {M.key: j for j, M in enumerate(instance.cols)}
-        seen_class: set[bytes] = set()
+        class_of: dict[int, list[int]] = {}
+        for maximal_class in instance.lat.maximal_classes():
+            cols = sorted(key_to_idx[O.key] for O in maximal_class)
+            class_of.update((c, cols) for c in cols)
+        seen_class: set[int] = set()
         for j, M in enumerate(instance.cols):
-            if M.key in seen_class or j in forced:
+            if j in seen_class or j in forced:
                 continue
-            orbit = instance.lat.conjugates(M)
-            for O in orbit:
-                seen_class.add(O.key)
+            orbit = class_of[j]
+            seen_class.update(orbit)
             H = PermGroup(
                 M.generator_perms(),
                 degree=instance.group.degree,
@@ -306,9 +311,7 @@ def reduce(
             lo, _hi = sigma_fn(H)
             if not lo > upper_bound:
                 continue
-            # every conjugate of a maximal subgroup is a column; a normal
-            # one is its own orbit
-            for c in sorted(key_to_idx[O.key] for O in orbit):
+            for c in orbit:
                 if c not in forced:
                     forced.add(c)
                     instance.certificates.append(

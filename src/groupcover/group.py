@@ -191,6 +191,14 @@ class ElementTable:
     positions are a bijection from G onto [0, |G|), which indexes a dense
     slot array.  Every ID lookup, one row or many, goes through that array.
     ``orders`` and ``inverse`` are computed on first use.
+
+    Products with an arbitrary element h run on ID tables instead of
+    lookups.  The letters are the group's generators and their inverses,
+    and per letter the table keeps right multiplication (read off the
+    closure check below), left multiplication and conjugation.  A word tree,
+    a breadth-first search from the identity over right multiplication by
+    the letters, gives every element a shortest word in them, so ``lmul``
+    and ``conj`` by h are one table gather per letter of h's word.
     """
 
     def __init__(self, group: "PermGroup"):
@@ -209,15 +217,18 @@ class ElementTable:
             raise AssertionError("sift keys of the element rows collide")
         # The chain products lie in ⟨gens⟩ and hold the identity, so rows
         # closed under every generator are all of ⟨gens⟩: a chain that
-        # lists a proper subgroup fails here.
+        # lists a proper subgroup fails here.  The lookups are kept as the
+        # tables x -> x g of right multiplication by each generator g.
+        self._rmul_by_gen = np.empty((len(group.generators), order), dtype=np.int32)
         for k, g in enumerate(group.generators):
             try:
-                self.lookup_rows(np.array(g.zero, dtype=rows.dtype)[rows])
+                self._rmul_by_gen[k] = self.lookup_rows(
+                    np.array(g.zero, dtype=rows.dtype)[rows]
+                )
             except KeyError:
                 raise AssertionError(
                     f"the {order} chain elements are not closed under generator {k}"
                 ) from None
-        self._conj_by_gen: list[np.ndarray] | None = None
 
     @cached_property
     def orders(self) -> np.ndarray:
@@ -304,14 +315,78 @@ class ElementTable:
             return self.identity_id
         return int(self.lookup_rows(power_rows(self.rows[[a]], k))[0])
 
-    def conj_by_gen(self) -> list[np.ndarray]:
-        """Per group generator, the full conjugation table id -> id."""
-        if self._conj_by_gen is None:
-            all_ids = np.arange(self.n, dtype=np.int32)
-            self._conj_by_gen = [
-                self.conj_rows(all_ids, g) for g in self.generator_ids()
-            ]
-        return self._conj_by_gen
+    def conj_by_gen(self) -> np.ndarray:
+        """Row k: the conjugation table x -> g^-1 x g of generator g = g_k."""
+        return self._conj[: len(self._conj) // 2]
+
+    @cached_property
+    def _rmul(self) -> np.ndarray:
+        """Row a: the table x -> x a of letter a.  The letters are
+        g_0..g_{k-1}, g_0^-1..g_{k-1}^-1 for the k group generators, so row
+        a + k (mod 2k) is that of a^-1."""
+        return np.concatenate(
+            [self._rmul_by_gen, _inverse_permutations(self._rmul_by_gen)]
+        )
+
+    @cached_property
+    def _lmul(self) -> np.ndarray:
+        """Row a: the table x -> a x (apply a, then x) of letter a, since
+        a x = (x^-1 a^-1)^-1."""
+        inv = self.inverse
+        return inv[_of_inverse_letters(self._rmul)[:, inv]]
+
+    @cached_property
+    def _conj(self) -> np.ndarray:
+        """Row a: the conjugation table x -> a^-1 x a of letter a."""
+        return np.take_along_axis(self._rmul, _of_inverse_letters(self._lmul), axis=1)
+
+    @cached_property
+    def _word_tree(self) -> list[int]:
+        """Per element e, p * k + a for a parent p and a letter a with
+        e = p a (k letters), -1 at the identity: a breadth-first search from
+        the identity over right multiplication by the letters, so every
+        element is a shortest word in them.  An element reached from
+        several parents keeps one of them; any word will do."""
+        k = len(self._rmul)
+        code = np.full(self.n, -1, dtype=np.int64)
+        seen = np.zeros(self.n, dtype=bool)
+        seen[self.identity_id] = True
+        frontier = np.array([self.identity_id], dtype=np.int64)
+        while len(frontier):
+            step = self._rmul[:, frontier]
+            j, i = np.nonzero(~seen[step])
+            new, parent = step[j, i], frontier[i] * k + j
+            code[new] = parent
+            seen[new] = True
+            frontier = new[code[new] == parent]  # each new element once
+        return code.tolist()
+
+    def word(self, h: int) -> list[int]:
+        """Letters a_1..a_m with h = a_1 a_2 ... a_m (apply a_1 first), read
+        up h's path in the word tree."""
+        code, k = self._word_tree, len(self._rmul)
+        word = []
+        while code[h] >= 0:
+            h, j = divmod(code[h], k)
+            word.append(j)
+        word.reverse()
+        return word
+
+    def lmul(self, h: int, ids: np.ndarray) -> np.ndarray:
+        """``lmul_many`` by table gathers along h's word: for h = a_1 ... a_m,
+        h x = a_1 (a_2 (... (a_m x)))."""
+        out = ids
+        for a in reversed(self.word(h)):
+            out = self._lmul[a][out]
+        return out
+
+    def conj(self, ids: np.ndarray, h: int) -> np.ndarray:
+        """``conj_rows`` by table gathers along h's word: for h = a_1 ... a_m,
+        conjugation by h is conjugation by a_1, then by a_2, and so on."""
+        out = ids
+        for a in self.word(h):
+            out = self._conj[a][out]
+        return out
 
     def perm(self, i: int) -> Permutation:
         return Permutation._from_zero(tuple(int(x) for x in self.rows[i]))
@@ -452,6 +527,19 @@ def _sift_into(rows, start, base, reached, inv) -> None:
                 return
         # the deeper base images under the inverse of the transversal element
         img = inv.ravel()[at[:, None] * d + img[:, 1:]].astype(np.intp)
+
+
+def _of_inverse_letters(tables: np.ndarray) -> np.ndarray:
+    """Per letter a, row a^-1 of a matrix of per-letter tables."""
+    k = len(tables) // 2
+    return np.concatenate([tables[k:], tables[:k]])
+
+
+def _inverse_permutations(p: np.ndarray) -> np.ndarray:
+    """The inverse of each row of a matrix of permutations."""
+    out = np.empty_like(p)
+    out[np.arange(len(p))[:, None], p] = np.arange(p.shape[1], dtype=p.dtype)
+    return out
 
 
 def power_rows(rows: np.ndarray, k: int) -> np.ndarray:

@@ -79,9 +79,14 @@ class SubgroupSet:
 
     @classmethod
     def from_key(
-        cls, table, key: bytes, ids: np.ndarray, gen_ids: list[int] | None = None
+        cls,
+        table,
+        key: bytes,
+        ids: np.ndarray | None = None,
+        gen_ids: list[int] | None = None,
     ) -> "SubgroupSet":
-        """From the packed membership bytes and the sorted int32 member IDs."""
+        """From the packed membership bytes and, when known, the sorted int32
+        member IDs."""
         S = cls(table, int.from_bytes(key, "little"), gen_ids=gen_ids)
         S._key = key
         S._ids = ids

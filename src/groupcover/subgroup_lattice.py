@@ -33,17 +33,29 @@ and the join counts are those of the exact path alone.  The random elements
 only decide how soon a bound is reached, never what a join is, so no result
 depends on the seed.
 
+The worklist keeps its subgroups on arrays.  Every subgroup it records is
+one row of packed membership bytes (its key) in one append-only uint8
+matrix, a whole conjugacy class at a time; the orbit itself comes from a
+breadth-first search on a matrix of sorted member-ID rows (``_orbit``), and
+the known overgroups of H are one gather of H's generator bits over the key
+matrix (``_Overgroups``).  A SubgroupSet object is built only for a row that
+is asked for: class representatives, maximal classes, the known overgroup a
+join returns, and the subgroups the queries below return.  A join that builds
+its subgroup is checked against the recorded rows, so no class is recorded
+twice.
+
 The same worklist discovers every subgroup of the ambient group, with its
 normality, which the normal-subgroup, chief-series and complement
-computations then reuse.
+computations then read off the key matrix.
 """
 
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left
+import mmap
+from bisect import bisect_left, bisect_right
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from math import gcd, isqrt, lcm
 
@@ -63,6 +75,7 @@ from .subgroup import SubgroupSet, bits_from_ids
 
 DEFAULT_JOIN_BUDGET = 10**7
 _CONJUGATE_CHUNK = 64  # frontier subgroups conjugated together
+_RECORDED_ROWS = 64  # key rows the worklist starts with; it doubles them as needed
 
 # The join prepass (``ElementTable.join_lower_bounds``) runs on a class with
 # at least _PREPASS_MIN_TARGETS targets.  Timed per class over the worklists
@@ -144,12 +157,15 @@ class SubgroupLattice:
         self.joins_spent = 0
         # joins whose subgroup was new and had to be built element by element
         self.joins_materialised = 0
+        # joins that ran Schreier-Sims (``_join``)
+        self.joins_exact = 0
         self._cyclic: list[SubgroupSet] | None = None
         self._cyclic_gen: np.ndarray | None = None
         self._elem_to_cyclic: np.ndarray | None = None
         self._maximal_cyclic: list[SubgroupSet] | None = None
+        self._recorded: _Recorded | None = None
+        self._maximal_classes: list[list[SubgroupSet]] | None = None
         self._maximal: list[SubgroupSet] | None = None
-        self._all_subgroups: dict[bytes, SubgroupSet] | None = None
         self._normals: list[SubgroupSet] | None = None
         self._chief: list[ChiefFactorRecord] | None = None
 
@@ -228,47 +244,64 @@ class SubgroupLattice:
     # -- conjugacy ----------------------------------------------------------
 
     def conjugates(self, S: SubgroupSet) -> list[SubgroupSet]:
-        """The full conjugacy orbit of a subgroup, sorted by key.
+        """The full conjugacy orbit of a subgroup, sorted by key, with S
+        itself in it; each other member records S's generators conjugated
+        along the way :meth:`_orbit` found it."""
+        keys, gens, at = self._orbit(S)
+        out = []
+        for r in range(len(keys)):
+            if r == at:
+                out.append(S)
+                continue
+            C = SubgroupSet.from_key(
+                self.table, keys[r].tobytes(), gen_ids=gens[r].tolist()
+            )
+            C.is_cyclic = S.is_cyclic
+            out.append(C)
+        return out
 
-        Breadth first: every frontier subgroup is conjugated by every group
-        generator, and new conjugates are kept in (subgroup, generator)
-        order.  The frontier is conjugated in chunks of at most
-        ``_CONJUGATE_CHUNK`` subgroups, one gather and one packed mask per
-        chunk and generator, which bounds the temporaries at that many
-        membership rows.
+    def _orbit(self, S: SubgroupSet) -> tuple[np.ndarray, np.ndarray, int]:
+        """S's conjugacy orbit as packed key rows in key order, a row of
+        recorded generator IDs per member, and the row of S itself.
+
+        Breadth first on a matrix with one row per subgroup: its sorted
+        member IDs, then its recorded generators.  Each chunk of at most
+        ``_CONJUGATE_CHUNK`` frontier rows is conjugated by every group
+        generator in one gather, and a conjugate is new when the bytes of
+        its re-sorted member IDs are.  New conjugates keep (subgroup,
+        generator) order, which fixes each one's generators: those of the
+        subgroup it came from, conjugated by that generator.  The chunks
+        bound the temporaries at that many image rows per generator, and the
+        keys are packed straight from the ID rows (``_packed_keys``).
         """
         T = self.table
         tables = T.conj_by_gen()
-        seen: dict[bytes, SubgroupSet] = {S.key: S}
-        frontier = [S]
-        while frontier:
-            nxt = []
+        size = S.order
+        frontier = np.concatenate([S.ids, np.array(S.gen_ids, dtype=np.int32)])[None]
+        width = np.dtype((np.void, size * frontier.itemsize))
+        seen = {S.ids.tobytes()}
+        found = [frontier]
+        while len(frontier):
+            new = []
             for start in range(0, len(frontier), _CONJUGATE_CHUNK):
-                chunk = frontier[start : start + _CONJUGATE_CHUNK]
-                ids = np.stack([H.ids for H in chunk])  # conjugates: one order
-                at = np.arange(len(chunk))[:, None]
-                images = []
-                for ct in tables:
-                    img = ct[ids]
-                    mask = np.zeros((len(chunk), T.n), dtype=bool)
-                    mask[at, img] = True
-                    images.append(
-                        (ct, img, np.packbits(mask, axis=1, bitorder="little"))
-                    )
-                for i, H in enumerate(chunk):
-                    for ct, img, packed in images:
-                        key = packed[i].tobytes()
-                        if key in seen:
-                            continue
-                        C = SubgroupSet.from_key(
-                            T, key, np.sort(img[i]),
-                            gen_ids=[int(ct[g]) for g in H.gen_ids],
-                        )
-                        C.is_cyclic = H.is_cyclic
-                        seen[key] = C
-                        nxt.append(C)
-            frontier = nxt
-        return sorted(seen.values(), key=lambda x: x.key)
+                img = tables[:, frontier[start : start + _CONJUGATE_CHUNK]]
+                img = img.transpose(1, 0, 2).reshape(-1, frontier.shape[1])
+                img[:, :size].sort(axis=1)
+                members = np.ascontiguousarray(img[:, :size]).view(width).ravel()
+                fresh = []
+                for i, row in enumerate(members.tolist()):
+                    if row not in seen:
+                        seen.add(row)
+                        fresh.append(i)
+                if fresh:
+                    new.append(img[fresh])
+            frontier = np.concatenate(new) if new else frontier[:0]
+            found.append(frontier)
+        rows = np.concatenate(found)
+        keys = _packed_keys(rows[:, :size], T.n)
+        as_bytes = keys.view(np.dtype((np.void, keys.shape[1]))).ravel().tolist()
+        order = sorted(range(len(keys)), key=as_bytes.__getitem__)
+        return keys[order], rows[order, size:], order.index(0)
 
     def is_normal(self, S: SubgroupSet) -> bool:
         if S.is_normal is None:
@@ -286,11 +319,22 @@ class SubgroupLattice:
             self._run_worklist()
         return self._maximal
 
-    def all_subgroups(self) -> list[SubgroupSet]:
-        """Every subgroup of the ambient group except the group itself."""
-        if self._all_subgroups is None:
+    def maximal_classes(self) -> list[list[SubgroupSet]]:
+        """The conjugacy classes of maximal subgroups, each sorted by key,
+        in the order the worklist found them maximal."""
+        if self._maximal is None:
             self._run_worklist()
-        return sorted(self._all_subgroups.values(), key=lambda s: s.key)
+        return self._maximal_classes
+
+    def all_subgroups(self) -> list[SubgroupSet]:
+        """Every subgroup of the ambient group except the group itself,
+        sorted by key."""
+        if self._maximal is None:
+            self._run_worklist()
+        return self._members(range(self._recorded.count))
+
+    def _members(self, rows) -> list[SubgroupSet]:
+        return sorted((self._member(r) for r in rows), key=lambda s: s.key)
 
     def _spend_join(self) -> None:
         self.joins_spent += 1
@@ -300,68 +344,70 @@ class SubgroupLattice:
             )
 
     def _run_worklist(self) -> None:
-        self.joins_spent = 0  # an earlier run may have stopped on its budget
-        self.joins_materialised = 0
+        # an earlier run may have stopped on its budget
+        self.joins_spent = self.joins_materialised = self.joins_exact = 0
         T = self.table
-        n = T.n
-        trivial = SubgroupSet(T, bits_from_ids([T.identity_id]), gen_ids=[])
-        trivial.is_cyclic = True
-        trivial.is_normal = True
-        discovered: dict[bytes, SubgroupSet] = {trivial.key: trivial}
-        maximal: list[SubgroupSet] = []
-
-        if n == 1:
-            self._all_subgroups = {}
-            self._maximal = []
-            return
-
-        cyclics = self.cyclic_subgroups()
-        cyc_key = {S.key for S in cyclics}
+        rec = self._recorded = _Recorded(T)
+        classes: list[list[SubgroupSet]] = []
         queue: list[tuple[int, bytes, int]] = []
-        recorded: list[list[SubgroupSet]] = []  # every orbit pushed, in order
+        if T.n > 1:
+            trivial = SubgroupSet(T, bits_from_ids([T.identity_id]), gen_ids=[])
+            key = np.frombuffer(trivial.key, dtype=np.uint8)[None]
+            alone = rec.append(key, np.empty((1, 0), dtype=np.int32), 1, cyclic=True)
+            alone.adopt(trivial, 0)
+            # The cyclic subgroups seed the worklist, one conjugacy class
+            # each; a conjugate of ⟨g⟩ is ⟨g'⟩ for the conjugate g' of g.
+            cyclics = self.cyclic_subgroups()
+            recorded = np.zeros(len(cyclics), dtype=bool)
+            for c, S in enumerate(cyclics):
+                if recorded[c] or S.is_trivial_subgroup() or S.is_whole_group():
+                    continue
+                orbit = self._record(S, queue)
+                recorded[self._elem_to_cyclic[orbit.gens[:, 0]]] = True
+            while queue:
+                _, _, i = heapq.heappop(queue)
+                self._process_class(rec.orbits[i], queue, classes)
+            if not classes:
+                # No proper non-trivial subgroup at all: |G| is prime and
+                # the trivial subgroup is the unique maximal subgroup.
+                alone.maximal = trivial.is_maximal = True
+                classes.append([trivial])
+        self._maximal_classes = classes
+        self._maximal = sorted((M for c in classes for M in c), key=lambda s: s.key)
 
-        def push_class(S: SubgroupSet) -> list[SubgroupSet]:
-            """Record S's whole conjugacy orbit and enqueue its representative;
-            return the orbit, or nothing when S is known already."""
-            if S.key in discovered:
-                return []
-            orbit = self.conjugates(S)
-            normal = len(orbit) == 1
-            for C in orbit:
-                C.is_normal = normal
-                if C.is_cyclic is None:
-                    C.is_cyclic = C.key in cyc_key
-                discovered[C.key] = C
-            rep = orbit[0]
-            heapq.heappush(queue, (rep.order, rep.key, len(recorded)))
-            recorded.append(orbit)
-            return orbit
+    def _record(self, S: SubgroupSet, queue: list) -> "_Orbit":
+        """Record the conjugacy orbit of S, which is not recorded yet, and
+        enqueue it by its representative, the member of least key.  S stays
+        the object of its own row."""
+        rec = self._recorded
+        keys, gens, at = self._orbit(S)
+        orbit = rec.append(keys, gens, S.order, cyclic=bool(S.is_cyclic))
+        orbit.adopt(S, orbit.start + at)
+        rep = rec.keys[orbit.start].tobytes()
+        heapq.heappush(queue, (S.order, rep, len(rec.orbits) - 1))
+        return orbit
 
-        for S in cyclics:
-            if not S.is_trivial_subgroup() and not S.is_whole_group():
-                push_class(S)
+    def _member(self, r: int) -> SubgroupSet:
+        """The subgroup of row r of the key matrix, built on first use."""
+        rec = self._recorded
+        orbit = rec.orbit_of(r)
+        S = orbit.built.get(r)
+        if S is None:
+            S = SubgroupSet.from_key(
+                self.table, rec.keys[r].tobytes(),
+                gen_ids=orbit.gens[r - orbit.start].tolist(),
+            )
+            orbit.adopt(S, r)
+        return S
 
-        while queue:
-            _, _, i = heapq.heappop(queue)
-            self._process_class(recorded[i], push_class, recorded, maximal)
+    def _process_class(self, orbit: "_Orbit", queue: list, classes: list) -> None:
+        """Join the class representative H, the orbit's first row, with its
+        targets; flag the whole orbit maximal when every join is G.
 
-        if not maximal and n > 1:
-            # No proper non-trivial subgroup at all: |G| is prime and the
-            # trivial subgroup is the unique maximal subgroup.
-            trivial.is_maximal = True
-            maximal.append(trivial)
-
-        self._all_subgroups = discovered
-        self._maximal = sorted(maximal, key=lambda s: s.key)
-
-    def _process_class(self, orbit, push_class, recorded, maximal) -> None:
-        """Join the class representative H = orbit[0] with its targets; flag
-        the whole orbit maximal when every join is G.
-
-        The members of the recorded orbits that properly contain H are
-        indexed first, and every new class a join pushes adds its members
-        that contain H, so each join is answered against all the overgroups
-        of H known at that time (see ``_join_answer``).
+        The recorded subgroups that properly contain H are selected first,
+        and every new class a join records adds its members that contain H,
+        so each join is answered against all the overgroups of H known at
+        that time (see ``_join_answer``).
 
         Every join gets the Lagrange bound of ``_least_join_order`` against
         the smallest known overgroup K of H holding x (G when there is
@@ -374,15 +420,16 @@ class SubgroupLattice:
         joins fall back to the exact path, never what any join is.
         """
         T = self.table
-        H = orbit[0]
+        rec = self._recorded
+        H = self._member(orbit.start)
         chain_H = cache(lambda: _chain_of_ids(T, H.gen_ids))
         targets = self._targets_for(H, T.n // H.order)
-        over = _Overgroups(H, recorded)
+        over = _Overgroups(rec, H)
         smallest = over.smallest_containing(targets)
         # a large degree (a regular representation, say) makes each target's
         # chain too large for a chunk of targets; those joins stay exact
         if min(len(targets), T.prepass_chunk()) >= _PREPASS_MIN_TARGETS:
-            limits = np.array([K.order for K in over.groups] + [T.n])[smallest]
+            limits = np.append(rec.orders[over.rows], T.n)[smallest]
             lower = T.join_lower_bounds(H, targets, limits).tolist()
         else:
             lower = [0] * len(targets)
@@ -391,7 +438,7 @@ class SubgroupLattice:
         all_join_full = True
         for j, x in enumerate(targets.tolist()):
             k = int(smallest[j])
-            K = over.groups[k] if k < len(over.groups) else None
+            K = self._member(int(over.rows[k])) if k < len(over.rows) else None
             C = cyclic[cyclic_of[x]]  # ⟨x⟩
             least = _least_join_order(
                 H.order, C.order, (H.bits & C.bits).bit_count(),
@@ -401,12 +448,19 @@ class SubgroupLattice:
             if J is None:
                 continue
             all_join_full = False
-            if over.add(push_class(J)):
-                smallest[j + 1 :] = over.smallest_containing(targets[j + 1 :])
-        for M in orbit:
-            M.is_maximal = all_join_full
+            if J is not K:
+                # the argument of ``_join_answer``, checked on every join
+                # that builds its subgroup
+                if rec.holds(J):
+                    raise InvariantError("a materialised join was recorded already")
+                new = self._record(J, queue)
+                if over.add(new.start, new.stop):
+                    smallest[j + 1 :] = over.smallest_containing(targets[j + 1 :])
+        orbit.maximal = all_join_full
+        for S in orbit.built.values():
+            S.is_maximal = all_join_full
         if all_join_full:
-            maximal.extend(orbit)
+            classes.append([self._member(r) for r in range(orbit.start, orbit.stop)])
 
     def _join_answer(
         self,
@@ -449,6 +503,7 @@ class SubgroupLattice:
         the whole of it.
         """
         self._spend_join()
+        self.joins_exact += 1
         limit = (self.table.n if within is None else within) // 2
         return chain.extended(_row_tuple(self.table, x), limit)
 
@@ -471,18 +526,18 @@ class SubgroupLattice:
         if np.count_nonzero(outside) <= index - 1:
             # conjugating a generator of C by h gives a generator of C^h
             label = _orbit_minima(
-                [self._elem_to_cyclic[T.conj_rows(gens, h)] for h in H.gen_ids],
+                [self._elem_to_cyclic[T.conj(gens, h)] for h in H.gen_ids],
                 len(gens),
             )
             return gens[outside & (label == np.arange(len(gens)))]
 
         # label every element by the least element of its right coset Hx
         all_ids = np.arange(T.n, dtype=np.int32)
-        coset_min = _orbit_minima([T.lmul_many(h, all_ids) for h in H.gen_ids], T.n)
+        coset_min = _orbit_minima([T.lmul(h, all_ids) for h in H.gen_ids], T.n)
         reps = np.nonzero((coset_min == all_ids) & ~in_h)[0].astype(np.int32)
         # conjugation by h maps the coset Hy to Hyh
         label = _orbit_minima(
-            [np.searchsorted(reps, coset_min[T.conj_rows(reps, h)]) for h in H.gen_ids],
+            [np.searchsorted(reps, coset_min[T.conj(reps, h)]) for h in H.gen_ids],
             len(reps),
         )
         return reps[label == np.arange(len(reps))]
@@ -493,13 +548,16 @@ class SubgroupLattice:
         """All normal subgroups, G included, sorted by key.
 
         The worklist records every proper subgroup with its whole conjugacy
-        orbit, so this only keeps the ones flagged normal and adds G.
+        orbit, so these are its one-member orbits, and G.
         """
         if self._normals is None:
+            self.maximal_subgroups()  # runs the worklist
             T = self.table
             whole = SubgroupSet(T, (1 << T.n) - 1, gen_ids=T.generator_ids())
             whole.is_normal = True
-            normals = [S for S in self.all_subgroups() if S.is_normal]
+            normals = self._members(
+                o.start for o in self._recorded.orbits if len(o.gens) == 1
+            )
             self._normals = sorted(normals + [whole], key=lambda s: s.key)
         return self._normals
 
@@ -606,56 +664,148 @@ class SubgroupLattice:
 
         Such an H has order |G||K|/|S|, and conversely a subgroup of that
         order meeting S in K has |HS| = |G|, so they read straight off the
-        worklist's list of all subgroups.
+        worklist's key matrix.
         """
-        want = self.table.n * K.order // S.order
-        return [
-            H for H in self.all_subgroups()
-            if H.order == want and H.bits & S.bits == K.bits
-        ]
+        self.maximal_subgroups()  # runs the worklist
+        rec = self._recorded
+        rows = np.flatnonzero(rec.orders[: rec.count] == self.table.n * K.order // S.order)
+        s_key, k_key = (np.frombuffer(X.key, dtype=np.uint8) for X in (S, K))
+        return self._members(rows[((rec.keys[rows] & s_key) == k_key).all(axis=1)].tolist())
+
+
+@dataclass
+class _Orbit:
+    """One conjugacy class the worklist recorded: rows start..stop of the
+    key matrix, in key order, with a row of recorded generator IDs per
+    member."""
+
+    start: int
+    gens: np.ndarray
+    cyclic: bool
+    maximal: bool | None = None
+    built: dict[int, SubgroupSet] = field(default_factory=dict)  # by row
+
+    @property
+    def stop(self) -> int:
+        return self.start + len(self.gens)
+
+    def adopt(self, S: SubgroupSet, r: int) -> None:
+        """Make S the object of row r, flagged as this orbit is."""
+        S.is_normal = len(self.gens) == 1
+        S.is_cyclic = self.cyclic
+        S.is_maximal = self.maximal
+        self.built[r] = S
+
+
+class _Recorded:
+    """Every subgroup the worklist has recorded, a whole conjugacy class at
+    a time: one row of packed membership bytes (its key) each, in one
+    append-only uint8 matrix, with its order."""
+
+    def __init__(self, table: ElementTable):
+        self.keys = _mapped_rows(_RECORDED_ROWS, (table.n + 7) // 8)
+        self.orders = np.empty(_RECORDED_ROWS, dtype=np.int64)
+        self.count = 0
+        self.orbits: list[_Orbit] = []
+        self._starts: list[int] = []
+
+    def append(self, keys: np.ndarray, gens: np.ndarray, order: int, cyclic: bool):
+        start, stop = self.count, self.count + len(keys)
+        if stop > len(self.keys):
+            cap = max(stop, 2 * len(self.keys))
+            grown = _mapped_rows(cap, self.keys.shape[1])
+            grown[:start] = self.keys[:start]
+            self.keys = grown
+            grown = np.empty(cap, dtype=np.int64)
+            grown[:start] = self.orders[:start]
+            self.orders = grown
+        self.keys[start:stop] = keys
+        self.orders[start:stop] = order
+        self.count = stop
+        orbit = _Orbit(start, gens, cyclic)
+        self.orbits.append(orbit)
+        self._starts.append(start)
+        return orbit
+
+    def orbit_of(self, r: int) -> _Orbit:
+        return self.orbits[bisect_right(self._starts, r) - 1]
+
+    def holds(self, S: SubgroupSet) -> bool:
+        """Whether some recorded row is S's key."""
+        rows = np.flatnonzero(self.orders[: self.count] == S.order)
+        key = np.frombuffer(S.key, dtype=np.uint8)
+        return bool((self.keys[rows] == key).all(axis=1).any())
+
+
+def _packed_keys(ids: np.ndarray, n: int) -> np.ndarray:
+    """The key of each row of sorted member IDs out of n elements: its
+    membership bits packed little-endian, bit i of byte i // 8 for ID i.
+
+    The bits of each (row, byte) pair are ORed over the run of IDs that
+    share it, so the work is the size of the ID matrix, not of the keys.
+    """
+    width = (n + 7) // 8
+    at = ((ids >> 3) + np.arange(0, len(ids) * width, width)[:, None]).ravel()
+    bits = np.left_shift(1, ids & 7).astype(np.uint8).ravel()
+    runs = np.flatnonzero(np.diff(at, prepend=-1))
+    keys = np.zeros(len(ids) * width, dtype=np.uint8)
+    keys[at[runs]] = np.bitwise_or.reduceat(bits, runs)
+    return keys.reshape(len(ids), width)
+
+
+def _mapped_rows(count: int, width: int) -> np.ndarray:
+    """A zeroed count x width uint8 matrix in an anonymous memory map of its
+    own, which goes back to the system as soon as the matrix is dropped.
+
+    The key matrix is reallocated as it grows and dropped with its lattice.
+    Taken from malloc, each free of such a block raises glibc's mmap
+    threshold, so the next lattice's blocks stay in the heap: on Linux that
+    held the simple-large benchmark's peak RSS at 105 MiB, where keeping
+    the subgroups as objects took 98 MiB.
+    """
+    buffer = mmap.mmap(-1, count * width)
+    return np.frombuffer(buffer, dtype=np.uint8).reshape(count, width)
 
 
 class _Overgroups:
-    """The known subgroups that properly contain H, smallest first.
+    """The recorded subgroups that properly contain H, as rows of the key
+    matrix, smallest first (a stable sort by order).
 
-    Each is held as a row of its packed membership bytes (its key), so one
-    column gather tests an element against all of them.  A last row of
-    ones stands for G, which holds every element.
+    K contains H exactly when it holds H's generators, so one gather of
+    their key bits over the recorded rows of larger order finds them, and
+    one gather of a target's key bit over these rows finds the first one that
+    holds it.
     """
 
-    def __init__(self, H: SubgroupSet, orbits: list[list[SubgroupSet]]):
-        self.H = H
-        self.groups: list[SubgroupSet] = []
-        self._rows = np.full((1, len(H.key)), 0xFF, dtype=np.uint8)
-        order = H.order
-        self.add(
-            K for orbit in orbits
-            if orbit[0].order > order and orbit[0].order % order == 0
-            for K in orbit
-        )
+    def __init__(self, recorded: _Recorded, H: SubgroupSet):
+        self.recorded = recorded
+        self.order = H.order
+        g = np.array(H.gen_ids, dtype=np.intp)
+        self._cols, self._bits = g >> 3, (1 << (g & 7)).astype(np.uint8)
+        self.rows = np.empty(0, dtype=np.intp)
+        self.add(0, recorded.count)
 
-    def add(self, subgroups) -> bool:
-        """Index those of the given subgroups, all larger than H, that
-        contain H; True when there were any."""
-        # K contains H exactly when it holds H's generators, one key byte
-        # each; the first one alone rules out most K
-        (q, bit), *rest = [(g >> 3, 1 << (g & 7)) for g in self.H.gen_ids]
-        new = [
-            K for K in subgroups
-            if K.key[q] & bit and all(K.key[r] & b for r, b in rest)
-        ]
-        if new:
-            self.groups = sorted(self.groups + new, key=lambda K: K.order)
-            keys = [K.key for K in self.groups] + [self._rows[-1].tobytes()]
-            self._rows = np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(
-                len(keys), -1
-            )
-        return bool(new)
+    def add(self, start: int, stop: int) -> bool:
+        """Select those of rows start..stop that contain H; True when there
+        were any."""
+        rec = self.recorded
+        rows = start + np.flatnonzero(rec.orders[start:stop] > self.order)
+        held = rec.keys[rows[:, None], self._cols] & self._bits
+        rows = rows[held.all(axis=1)]
+        if not len(rows):
+            return False
+        rows = np.concatenate([self.rows, rows])
+        self.rows = rows[np.argsort(rec.orders[rows], kind="stable")]
+        return True
 
     def smallest_containing(self, xs: np.ndarray) -> np.ndarray:
-        """Per element ID, the index in ``groups`` of the first (smallest)
-        one that contains it, or len(groups) when none does."""
-        hit = (self._rows[:, xs >> 3] >> (xs & 7).astype(np.uint8)) & 1
+        """Per element ID, the index in ``rows`` of the first (smallest)
+        subgroup that contains it, or len(rows) when none does."""
+        hit = (
+            self.recorded.keys[self.rows[:, None], xs >> 3] >> (xs & 7).astype(np.uint8)
+        ) & 1
+        # a last row of ones stands for G, which holds every element
+        hit = np.concatenate([hit, np.ones((1, len(xs)), dtype=hit.dtype)])
         return np.argmax(hit, axis=0)
 
 

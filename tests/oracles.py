@@ -186,6 +186,15 @@ class BruteGroup:
     def proper_subgroups(self) -> list[frozenset[int]]:
         return [s for s in self.all_subgroups() if len(s) < self.n]
 
+    def conjugacy_orbit(self, H: frozenset[int]) -> set[frozenset[int]]:
+        """Every conjugate g^-1 H g of a subgroup, one per element g."""
+        inverse = np.argmax(self.mul == self.identity_id, axis=1)
+        members = np.array(sorted(H))
+        return {
+            frozenset(self.mul[self.mul[inverse[g], members], g].tolist())
+            for g in range(self.n)
+        }
+
     def is_subgroup_normal(self, H: frozenset[int]) -> bool:
         for g in range(self.n):
             ginv = int(np.where(self.mul[g] == self.identity_id)[0][0])

@@ -12,6 +12,7 @@ from groupcover import (
     CyclicGroupError,
     INFINITY,
     PermGroup,
+    SigmaOptions,
     build_instance,
     counting_lower_bound,
     enumerate_optimal_covers,
@@ -363,3 +364,19 @@ def test_infinity_ordering():
     assert INFINITY != 5
     assert min(INFINITY, 7) == 7
     assert max(INFINITY, 7) is INFINITY
+
+
+def test_sigma_forcing_reads_the_maximal_classes_off_the_lattice(monkeypatch):
+    # the worklist recorded every maximal class with its conjugates
+    from groupcover.subgroup_lattice import SubgroupLattice
+
+    def recomputed(self, S):
+        raise AssertionError("a maximal class was conjugated again")
+
+    monkeypatch.setattr(SubgroupLattice, "conjugates", recomputed)
+    base = grp("PGammaL2(8)")
+    G = PermGroup(list(base.generators), degree=base.degree)
+    res = sigma(G, SigmaOptions(sigma_forcing=True))
+    forced = [c for c in res.certificates if c.kind == "forced-subgroup"]
+    assert res.sigma == 29
+    assert [c.payload["column_order"] for c in forced] == [504]

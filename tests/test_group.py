@@ -127,6 +127,30 @@ def test_element_table_conjugation():
             assert T.orders[xg] == T.orders[x]
 
 
+def _right_regular(spec: str) -> PermGroup:
+    """The catalog group acting on its own element IDs by right
+    multiplication."""
+    T = grp(spec).table()
+    all_ids = np.arange(T.n, dtype=np.int32)
+    gens = [Permutation((T.mul_many(all_ids, g) + 1).tolist()) for g in T.generator_ids()]
+    return PermGroup(gens, degree=T.n)
+
+
+@pytest.mark.parametrize(
+    "spec", ["Sym(4)", "Dihedral(6)", "AGL1(16)", "M11", "regular Alt(5)"]
+)
+def test_word_gathers_match_the_sift_lookups(spec):
+    G = _right_regular("Alt(5)") if spec == "regular Alt(5)" else grp(spec)
+    T = G.table()
+    all_ids = np.arange(T.n, dtype=np.int32)
+    for h in np.random.default_rng(17).integers(T.n, size=20).tolist():
+        assert np.array_equal(T.lmul(h, all_ids), T.lmul_many(h, all_ids))
+        assert np.array_equal(T.conj(all_ids, h), T.conj_rows(all_ids, h))
+    for k, g in enumerate(T.generator_ids()):
+        assert np.array_equal(T.conj_by_gen()[k], T.conj_rows(all_ids, g))
+    assert T.word(T.identity_id) == []
+
+
 def test_lookup_rows_round_trip_small_and_wide_degree():
     # int8 table (degree <= 120)
     T = grp("Alt(5)").table()

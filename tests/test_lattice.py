@@ -14,6 +14,7 @@ import pytest
 import groupcover
 from groupcover import (
     BudgetExhaustedError,
+    InvariantError,
     PermGroup,
     SigmaOptions,
     center,
@@ -648,6 +649,70 @@ def test_joins_materialised_counts_non_cyclic_classes(spec, materialised):
     lat = _fresh_lattice(spec)
     lat.maximal_subgroups()
     assert lat.joins_materialised == _non_cyclic_classes(lat) == materialised
+
+
+# taken at the commit before the worklist held its subgroups as key rows:
+# exact Schreier-Sims joins, joins spent, joins materialised and the sha256
+# of the whole worklist output
+SIMPLE_LARGE_LATTICES = {
+    "M11": (
+        254, 5285, 30,
+        "23f086244bab7c4c74bb006f2a90642686e1d9611014f6a9691168b5a25fa0e3",
+    ),
+    "PSL3(3)": (
+        447, 4664, 42,
+        "ce12054933e9058d2c09b17f101d34ea8b11e4046f792c7f3044ff2543007f32",
+    ),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(SIMPLE_LARGE_LATTICES))
+def test_simple_large_lattices_pinned(spec, monkeypatch):
+    checked = []
+    holds = lattice_module._Recorded.holds
+
+    def counting(self, S):
+        checked.append(S)
+        return holds(self, S)
+
+    monkeypatch.setattr(lattice_module._Recorded, "holds", counting)
+    lat = _fresh_lattice(spec)
+    digest = hashlib.sha256(f"{_fingerprint(lat)}".encode()).hexdigest()
+    counts = (lat.joins_exact, lat.joins_spent, lat.joins_materialised)
+    assert counts + (digest,) == SIMPLE_LARGE_LATTICES[spec]
+    # the newness check runs once per materialised join, not per subgroup
+    assert len(checked) == lat.joins_materialised
+
+
+def test_a_join_answer_already_recorded_is_an_invariant_error(monkeypatch):
+    lat = _fresh_lattice("Sym(4)")
+    answer = lat._join_answer
+
+    def rebuilt(H, chain_H, x, K, lower):
+        # a known answer built afresh, as if it had been materialised
+        J = answer(H, chain_H, x, K, lower)
+        return J if J is None else generated_subgroup(lat.table, J.gen_ids)
+
+    monkeypatch.setattr(lat, "_join_answer", rebuilt)
+    with pytest.raises(InvariantError, match="recorded already"):
+        lat.maximal_subgroups()
+
+
+@pytest.mark.parametrize("spec", ["Alt(6)", "PGL2(7)"])
+def test_conjugates_are_the_brute_force_orbits(spec):
+    lat = _fresh_lattice(spec)
+    bg = brute_of(spec)
+    seen: set[bytes] = set()
+    for S in lat.all_subgroups():
+        if S.key in seen:
+            continue
+        orbit = lat.conjugates(S)
+        assert {subgroup_ids(C) for C in orbit} == bg.conjugacy_orbit(subgroup_ids(S))
+        assert [C.key for C in orbit] == sorted({C.key for C in orbit})
+        assert any(C is S for C in orbit)
+        for C in orbit:
+            assert generated_subgroup(lat.table, C.gen_ids).key == C.key
+        seen.update(C.key for C in orbit)
 
 
 def test_m11_joins_materialised(m11):
