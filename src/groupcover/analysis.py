@@ -34,7 +34,6 @@ from .cover import (
     build_instance,
     counting_certificate,
     enumerate_optimal_covers,
-    greedy_upper_bound,
     quotient_sigma,
     reduce as reduce_instance,
     solve_exact,
@@ -106,15 +105,15 @@ def _compute_sigma(G: PermGroup, opts: SigmaOptions) -> SigmaResult:
         return result
     ins = build_instance(G, cap=opts.cap, join_budget=opts.join_budget)
     reduce_instance(ins)  # unique-coverage forcing
-    upper = len(greedy_upper_bound(ins))  # greedy extends the forced set
     if opts.sigma_forcing:
-        reduce_instance(ins, upper_bound=upper, sigma_fn=_child_sigma_fn(opts))
+        # without an upper bound, reduce takes the greedy cover's size
+        reduce_instance(ins, sigma_fn=_child_sigma_fn(opts))
     result.certificates = list(ins.certificates) + [_best_counting_certificate(ins)]
     try:
         value, cover_idx, result.stats = solve_exact(ins, node_budget=opts.node_budget)
     except BudgetExhaustedError as e:
         result.cover = []
-        result.interval = (e.lower or 1, e.upper if e.upper is not None else upper)
+        result.interval = (e.lower or 1, e.upper)
         result.stats = {"nodes": opts.node_budget}
         return result
     for cert in result.certificates:

@@ -194,11 +194,13 @@ class ElementTable:
 
     Products with an arbitrary element h run on ID tables instead of
     lookups.  The letters are the group's generators and their inverses,
-    and per letter the table keeps right multiplication (read off the
-    closure check below), left multiplication and conjugation.  A word tree,
-    a breadth-first search from the identity over right multiplication by
-    the letters, gives every element a shortest word in them, so ``lmul``
-    and ``conj`` by h are one table gather per letter of h's word.
+    and per letter the table keeps only right multiplication (read off the
+    closure check below); conjugation by a letter is derived from it and
+    ``inverse``.  A word tree, a breadth-first search from the identity over
+    right multiplication by the letters, gives every element a shortest word
+    in them, so ``conj`` by h is one table gather per letter of h's word,
+    and ``lmul`` by h is that many right multiplications between two
+    inversions.
     """
 
     def __init__(self, group: "PermGroup"):
@@ -329,16 +331,11 @@ class ElementTable:
         )
 
     @cached_property
-    def _lmul(self) -> np.ndarray:
-        """Row a: the table x -> a x (apply a, then x) of letter a, since
-        a x = (x^-1 a^-1)^-1."""
-        inv = self.inverse
-        return inv[_of_inverse_letters(self._rmul)[:, inv]]
-
-    @cached_property
     def _conj(self) -> np.ndarray:
-        """Row a: the conjugation table x -> a^-1 x a of letter a."""
-        return np.take_along_axis(self._rmul, _of_inverse_letters(self._lmul), axis=1)
+        """Row a: the conjugation table x -> a^-1 x a of letter a, since
+        a^-1 x = (x^-1 a)^-1."""
+        inv = self.inverse
+        return np.take_along_axis(self._rmul, inv[self._rmul[:, inv]], axis=1)
 
     @cached_property
     def _word_tree(self) -> list[int]:
@@ -374,11 +371,12 @@ class ElementTable:
 
     def lmul(self, h: int, ids: np.ndarray) -> np.ndarray:
         """``lmul_many`` by table gathers along h's word: for h = a_1 ... a_m,
-        h x = a_1 (a_2 (... (a_m x)))."""
-        out = ids
+        h x = (x^-1 a_m^-1 ... a_1^-1)^-1."""
+        k = len(self._rmul) // 2
+        out = self.inverse[ids]
         for a in reversed(self.word(h)):
-            out = self._lmul[a][out]
-        return out
+            out = self._rmul[(a + k) % (2 * k)][out]
+        return self.inverse[out]
 
     def conj(self, ids: np.ndarray, h: int) -> np.ndarray:
         """``conj_rows`` by table gathers along h's word: for h = a_1 ... a_m,
@@ -527,12 +525,6 @@ def _sift_into(rows, start, base, reached, inv) -> None:
                 return
         # the deeper base images under the inverse of the transversal element
         img = inv.ravel()[at[:, None] * d + img[:, 1:]].astype(np.intp)
-
-
-def _of_inverse_letters(tables: np.ndarray) -> np.ndarray:
-    """Per letter a, row a^-1 of a matrix of per-letter tables."""
-    k = len(tables) // 2
-    return np.concatenate([tables[k:], tables[:k]])
 
 
 def _inverse_permutations(p: np.ndarray) -> np.ndarray:

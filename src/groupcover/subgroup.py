@@ -13,20 +13,13 @@ import hashlib
 import numpy as np
 
 
-def bits_from_ids(ids) -> int:
-    """Pack an iterable of element IDs into a membership integer."""
-    if isinstance(ids, np.ndarray):
-        if ids.size == 0:
-            return 0
-        width = int(ids.max()) + 1
-        arr = np.zeros(width, dtype=bool)
-        arr[ids] = True
-        packed = np.packbits(arr, bitorder="little")
-        return int.from_bytes(packed.tobytes(), "little")
-    bits = 0
-    for i in ids:
-        bits |= 1 << int(i)
-    return bits
+def bits_from_ids(ids: np.ndarray) -> int:
+    """Pack an array of element IDs into a membership integer."""
+    if ids.size == 0:
+        return 0
+    arr = np.zeros(int(ids.max()) + 1, dtype=bool)
+    arr[ids] = True
+    return int.from_bytes(np.packbits(arr, bitorder="little").tobytes(), "little")
 
 
 def ids_from_bits(bits: int) -> np.ndarray:

@@ -74,7 +74,6 @@ from .perm import Permutation
 from .subgroup import SubgroupSet, bits_from_ids
 
 DEFAULT_JOIN_BUDGET = 10**7
-_CONJUGATE_CHUNK = 64  # frontier subgroups conjugated together
 _RECORDED_ROWS = 64  # key rows the worklist starts with; it doubles them as needed
 
 # The join prepass (``ElementTable.join_lower_bounds``) runs on a class with
@@ -265,14 +264,16 @@ class SubgroupLattice:
         recorded generator IDs per member, and the row of S itself.
 
         Breadth first on a matrix with one row per subgroup: its sorted
-        member IDs, then its recorded generators.  Each chunk of at most
-        ``_CONJUGATE_CHUNK`` frontier rows is conjugated by every group
-        generator in one gather, and a conjugate is new when the bytes of
-        its re-sorted member IDs are.  New conjugates keep (subgroup,
-        generator) order, which fixes each one's generators: those of the
-        subgroup it came from, conjugated by that generator.  The chunks
-        bound the temporaries at that many image rows per generator, and the
-        keys are packed straight from the ID rows (``_packed_keys``).
+        member IDs, then its recorded generators.  Each level's frontier is
+        conjugated by every group generator in one gather, and a conjugate
+        is new when the bytes of its re-sorted member IDs are.  New
+        conjugates keep (subgroup, generator) order, which fixes each one's
+        generators: those of the subgroup it came from, conjugated by that
+        generator.  The frontier holds members of one conjugacy class, and
+        |class| |S| = |G:N(S)| |S| <= |G|, so a level's images hold at most
+        k (|G| + |class| #gens) IDs for k group generators, about the size
+        of the k conjugation tables.  The keys are packed straight from the
+        ID rows (``_packed_keys``).
         """
         T = self.table
         tables = T.conj_by_gen()
@@ -282,20 +283,15 @@ class SubgroupLattice:
         seen = {S.ids.tobytes()}
         found = [frontier]
         while len(frontier):
-            new = []
-            for start in range(0, len(frontier), _CONJUGATE_CHUNK):
-                img = tables[:, frontier[start : start + _CONJUGATE_CHUNK]]
-                img = img.transpose(1, 0, 2).reshape(-1, frontier.shape[1])
-                img[:, :size].sort(axis=1)
-                members = np.ascontiguousarray(img[:, :size]).view(width).ravel()
-                fresh = []
-                for i, row in enumerate(members.tolist()):
-                    if row not in seen:
-                        seen.add(row)
-                        fresh.append(i)
-                if fresh:
-                    new.append(img[fresh])
-            frontier = np.concatenate(new) if new else frontier[:0]
+            img = tables[:, frontier].transpose(1, 0, 2).reshape(-1, frontier.shape[1])
+            img[:, :size].sort(axis=1)
+            members = np.ascontiguousarray(img[:, :size]).view(width).ravel()
+            fresh = []
+            for i, row in enumerate(members.tolist()):
+                if row not in seen:
+                    seen.add(row)
+                    fresh.append(i)
+            frontier = img[fresh]
             found.append(frontier)
         rows = np.concatenate(found)
         keys = _packed_keys(rows[:, :size], T.n)
@@ -351,7 +347,7 @@ class SubgroupLattice:
         classes: list[list[SubgroupSet]] = []
         queue: list[tuple[int, bytes, int]] = []
         if T.n > 1:
-            trivial = SubgroupSet(T, bits_from_ids([T.identity_id]), gen_ids=[])
+            trivial = SubgroupSet(T, 1 << T.identity_id, gen_ids=[])
             key = np.frombuffer(trivial.key, dtype=np.uint8)[None]
             alone = rec.append(key, np.empty((1, 0), dtype=np.int32), 1, cyclic=True)
             alone.adopt(trivial, 0)
@@ -404,10 +400,11 @@ class SubgroupLattice:
         """Join the class representative H, the orbit's first row, with its
         targets; flag the whole orbit maximal when every join is G.
 
-        The recorded subgroups that properly contain H are selected first,
-        and every new class a join records adds its members that contain H,
-        so each join is answered against all the overgroups of H known at
-        that time (see ``_join_answer``).
+        The smallest recorded subgroup that properly contains H and holds
+        the target is found for every target first, and every new class a
+        join records updates it for the targets after that join, so each
+        join is answered against all the overgroups of H known at that time
+        (see ``_join_answer``).
 
         Every join gets the Lagrange bound of ``_least_join_order`` against
         the smallest known overgroup K of H holding x (G when there is
@@ -424,12 +421,11 @@ class SubgroupLattice:
         H = self._member(orbit.start)
         chain_H = cache(lambda: _chain_of_ids(T, H.gen_ids))
         targets = self._targets_for(H, T.n // H.order)
-        over = _Overgroups(rec, H)
-        smallest = over.smallest_containing(targets)
+        over = _Overgroups(rec, H, targets)
         # a large degree (a regular representation, say) makes each target's
         # chain too large for a chunk of targets; those joins stay exact
         if min(len(targets), T.prepass_chunk()) >= _PREPASS_MIN_TARGETS:
-            limits = np.append(rec.orders[over.rows], T.n)[smallest]
+            limits = np.where(over.best < 0, T.n, rec.orders[over.best])
             lower = T.join_lower_bounds(H, targets, limits).tolist()
         else:
             lower = [0] * len(targets)
@@ -437,8 +433,8 @@ class SubgroupLattice:
         cyclic_of = memoryview(self._elem_to_cyclic)  # indexes to Python ints
         all_join_full = True
         for j, x in enumerate(targets.tolist()):
-            k = int(smallest[j])
-            K = self._member(int(over.rows[k])) if k < len(over.rows) else None
+            k = int(over.best[j])
+            K = self._member(k) if k >= 0 else None
             C = cyclic[cyclic_of[x]]  # ⟨x⟩
             least = _least_join_order(
                 H.order, C.order, (H.bits & C.bits).bit_count(),
@@ -454,8 +450,7 @@ class SubgroupLattice:
                 if rec.holds(J):
                     raise InvariantError("a materialised join was recorded already")
                 new = self._record(J, queue)
-                if over.add(new.start, new.stop):
-                    smallest[j + 1 :] = over.smallest_containing(targets[j + 1 :])
+                over.add(new.start, new.stop, j + 1)
         orbit.maximal = all_join_full
         for S in orbit.built.values():
             S.is_maximal = all_join_full
@@ -562,20 +557,12 @@ class SubgroupLattice:
         return self._normals
 
     def minimal_normal_subgroups(self) -> list[SubgroupSet]:
-        normals = [
-            S for S in self.normal_subgroups()
-            if not S.is_trivial_subgroup() and not S.is_whole_group()
+        """The non-trivial normal subgroups with no smaller one inside."""
+        normals = [S for S in self.normal_subgroups() if not S.is_trivial_subgroup()]
+        return [
+            S for S in normals
+            if not any(O.order < S.order and O.bits & S.bits == O.bits for O in normals)
         ]
-        if not normals:
-            whole = [S for S in self.normal_subgroups() if S.is_whole_group()]
-            return whole if self.table.n > 1 else []
-        out = []
-        for S in normals:
-            if not any(
-                O.order < S.order and O.bits & S.bits == O.bits for O in normals
-            ):
-                out.append(S)
-        return out
 
     def socle(self) -> SubgroupSet:
         """The subgroup generated by the minimal normal subgroups, which is
@@ -596,12 +583,9 @@ class SubgroupLattice:
         )
 
     def frattini(self) -> SubgroupSet:
-        """Intersection of all maximal subgroups."""
-        maxes = self.maximal_subgroups()
-        if not maxes:
-            return SubgroupSet(self.table, (1 << self.table.n) - 1)
-        bits = maxes[0].bits
-        for M in maxes[1:]:
+        """Intersection of all maximal subgroups, and G when there are none."""
+        bits = (1 << self.table.n) - 1
+        for M in self.maximal_subgroups():
             bits &= M.bits
         return SubgroupSet(self.table, bits)
 
@@ -768,45 +752,41 @@ def _mapped_rows(count: int, width: int) -> np.ndarray:
 
 
 class _Overgroups:
-    """The recorded subgroups that properly contain H, as rows of the key
-    matrix, smallest first (a stable sort by order).
+    """Per target, ``best``: the row of the smallest recorded subgroup that
+    properly contains H and holds the target, the first recorded of those
+    on a tie, or -1 when only G does.
 
     K contains H exactly when it holds H's generators, so one gather of
-    their key bits over the recorded rows of larger order finds them, and
-    one gather of a target's key bit over these rows finds the first one that
-    holds it.
+    their key bits over new rows of larger order finds those that contain
+    H, and one gather of the targets' key bits over these finds the ones
+    that hold each target.  Rows are recorded once and never change, so
+    only new rows can change ``best``.
     """
 
-    def __init__(self, recorded: _Recorded, H: SubgroupSet):
+    def __init__(self, recorded: _Recorded, H: SubgroupSet, targets: np.ndarray):
         self.recorded = recorded
         self.order = H.order
         g = np.array(H.gen_ids, dtype=np.intp)
         self._cols, self._bits = g >> 3, (1 << (g & 7)).astype(np.uint8)
-        self.rows = np.empty(0, dtype=np.intp)
-        self.add(0, recorded.count)
+        self._x_cols, self._x_shifts = targets >> 3, (targets & 7).astype(np.uint8)
+        self.best = np.full(len(targets), -1, dtype=np.intp)
+        self.add(0, recorded.count, 0)
 
-    def add(self, start: int, stop: int) -> bool:
-        """Select those of rows start..stop that contain H; True when there
-        were any."""
+    def add(self, start: int, stop: int, first: int) -> None:
+        """Let rows start..stop, recorded after every row in ``best``, answer
+        the targets from ``first`` on."""
         rec = self.recorded
         rows = start + np.flatnonzero(rec.orders[start:stop] > self.order)
         held = rec.keys[rows[:, None], self._cols] & self._bits
         rows = rows[held.all(axis=1)]
         if not len(rows):
-            return False
-        rows = np.concatenate([self.rows, rows])
-        self.rows = rows[np.argsort(rec.orders[rows], kind="stable")]
-        return True
-
-    def smallest_containing(self, xs: np.ndarray) -> np.ndarray:
-        """Per element ID, the index in ``rows`` of the first (smallest)
-        subgroup that contains it, or len(rows) when none does."""
-        hit = (
-            self.recorded.keys[self.rows[:, None], xs >> 3] >> (xs & 7).astype(np.uint8)
-        ) & 1
-        # a last row of ones stands for G, which holds every element
-        hit = np.concatenate([hit, np.ones((1, len(xs)), dtype=hit.dtype)])
-        return np.argmax(hit, axis=0)
+            return
+        rows = rows[np.argsort(rec.orders[rows], kind="stable")]
+        hit = (rec.keys[rows[:, None], self._x_cols[first:]] >> self._x_shifts[first:]) & 1
+        new = rows[np.argmax(hit, axis=0)]
+        old = self.best[first:]  # a view: writing to it writes to best
+        better = hit.any(axis=0) & ((old < 0) | (rec.orders[new] < rec.orders[old]))
+        old[better] = new[better]
 
 
 def _least_join_order(h: int, o: int, meet: int, within: int) -> int:

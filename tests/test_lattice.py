@@ -571,6 +571,34 @@ def test_every_m11_join_answer_is_the_generated_subgroup(monkeypatch):
             assert J.order == order, (H, x)
 
 
+@pytest.mark.parametrize("spec", ["Alt(6)", "PGL2(7)", "M11"])
+def test_join_overgroup_is_the_least_known(spec, monkeypatch):
+    # K, the overgroup a join is answered against, is the least recorded
+    # subgroup holding H and x at the time of the join
+    lat = _fresh_lattice(spec)
+    calls = []
+    answer = lat._join_answer
+
+    def noting(H, chain_H, x, K, lower):
+        calls.append((H, x, K, lat._recorded.count))
+        return answer(H, chain_H, x, K, lower)
+
+    monkeypatch.setattr(lat, "_join_answer", noting)
+    lat.maximal_subgroups()
+    rec = lat._recorded
+    assert len(calls) == lat.joins_spent
+    for H, x, K, count in calls:
+        if K is not None:
+            assert K.order > H.order and H.issubset(K) and K.bits >> x & 1
+        ids = np.array(list(H.gen_ids) + [x])
+        holds = ((rec.keys[:count, ids >> 3] >> (ids & 7).astype(np.uint8)) & 1).all(axis=1)
+        orders = rec.orders[:count][holds]
+        if K is None:
+            assert not len(orders), (spec, H, x)
+        else:
+            assert orders.min() == K.order, (spec, H, x)
+
+
 def _fingerprint(lat: SubgroupLattice) -> list:
     lat.maximal_subgroups()
     return [
