@@ -89,11 +89,15 @@ def sigma(G: PermGroup, opts: SigmaOptions | None = None) -> SigmaResult:
 
 def sigma_value(G: PermGroup, opts: SigmaOptions | None = None):
     """Just the number (or INFINITY); raises if only an interval is known."""
+    opts = opts or SigmaOptions()
     res = sigma(G, opts)
     if res.sigma is None:
+        if "joins" in res.stats:  # the worklist ran out before the search
+            what, budget = "maximal-subgroup enumeration", opts.join_budget
+        else:
+            what, budget = "covering number", opts.node_budget
         raise BudgetExhaustedError(
-            "covering number", (opts or SigmaOptions()).node_budget,
-            lower=res.interval[0], upper=res.interval[1],
+            what, budget, lower=res.interval[0], upper=res.interval[1]
         )
     return res.sigma
 
@@ -103,7 +107,17 @@ def _compute_sigma(G: PermGroup, opts: SigmaOptions) -> SigmaResult:
     if G.is_cyclic():
         result.sigma = INFINITY
         return result
-    ins = build_instance(G, cap=opts.cap, join_budget=opts.join_budget)
+    try:
+        ins = build_instance(G, cap=opts.cap, join_budget=opts.join_budget)
+    except BudgetExhaustedError:
+        # no group is the union of two proper subgroups; the maximal cyclic
+        # subgroups of a non-cyclic G are proper and cover it, and they are
+        # found without a join
+        lat = lattice(G, cap=opts.cap, join_budget=opts.join_budget)
+        result.cover = []
+        result.interval = (3, len(lat.maximal_cyclic_subgroups()))
+        result.stats = {"joins": opts.join_budget}
+        return result
     reduce_instance(ins)  # unique-coverage forcing
     if opts.sigma_forcing:
         # without an upper bound, reduce takes the greedy cover's size

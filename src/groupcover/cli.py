@@ -87,9 +87,12 @@ def _options(args) -> SigmaOptions:
         raise ParseError("--cap must be at least 1")
     if args.node_budget < 1:
         raise ParseError("--node-budget must be at least 1")
+    if args.join_budget < 1:
+        raise ParseError("--join-budget must be at least 1")
     return SigmaOptions(
         cap=args.cap,
         node_budget=args.node_budget,
+        join_budget=args.join_budget,
         sigma_forcing=getattr(args, "sigma_forcing", False),
         enumerate_all=getattr(args, "enumerate_all", False),
         enumerate_limit=getattr(args, "limit", SigmaOptions.enumerate_limit),
@@ -204,6 +207,9 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cap", type=int, default=SigmaOptions.cap, help="element-table cap")
     p.add_argument("--node-budget", type=int, default=SigmaOptions.node_budget,
                    help="search node budget; interval answers on exhaustion")
+    p.add_argument("--join-budget", type=int, default=SigmaOptions.join_budget,
+                   help="subgroup-join budget of the maximal-subgroup worklist; "
+                        "interval answers on exhaustion")
     p.add_argument("--out", help="write the JSON result document here")
 
 

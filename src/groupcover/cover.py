@@ -16,9 +16,11 @@ cover, and with it its whole conjugacy class when it is not normal.
 The incidence is held once, as Python int bitsets built once per
 instance: each column's rows and each row's columns, and per element order
 the columns by count.  Reduction, the greedy upper bound and the search all
-read it; a search node costs one pass over its live columns plus a few int
-operations.  σ(G/N) is a search of G's own instance from the columns that
-contain N.
+read it.  A search node holds its rows' counts of available columns as bit
+planes, so it costs a few int operations plus its counting bound's walk
+down the columns, largest first, which stops at the first column that
+meets the bound's threshold.  σ(G/N) is a search of G's own instance from
+the columns that contain N.
 """
 
 from __future__ import annotations
@@ -124,6 +126,11 @@ class CoverInstance:
                 "some maximal cyclic subgroup lies in no maximal subgroup"
             )
         self.col_elem_bits = [M.bits for M in cols]
+        # every column with its row count, largest first, for the search's
+        # counting-bound threshold test
+        self.cols_by_size = sorted(
+            ((r.bit_count(), j) for j, r in enumerate(self.col_rows)), reverse=True
+        )
         # per element order k: each column's count of order-k elements, the
         # columns by descending count (lowest index first on ties), and the
         # mask of columns holding at least one
@@ -347,6 +354,16 @@ class _Search:
     bounds count it; a branched column leaves the mask of its own subtree
     and of every later sibling.
 
+    Each node also holds every row's count of available columns as bit
+    planes: plane p is an int whose bit i is bit p of row i's count.  The
+    root adds up its available columns' rows once, with a carry that
+    ripples up the planes; a branch subtracts its column's rows with a
+    borrow likewise.  The rows held by at least one, two and three
+    available columns, and the first row of fewest, are a few int
+    operations on the planes.  The one walk over the columns left in a node
+    is its counting bound's, largest column first, which stops at the first
+    column that meets the bound's threshold or falls below it.
+
     By default the search starts from every column, the forced ones
     chosen; given an int column mask ``cols`` (for σ(G/N), the columns that
     contain N), it starts from those columns with none chosen.
@@ -385,57 +402,62 @@ class _Search:
         for j in chosen:
             covered |= ins.col_rows[j]
             elems |= ins.col_elem_bits[j]
-        return covered, elems, avail, range(len(ins.cols)), chosen
+        return covered, elems, avail, chosen
 
-    def _scan(self, uncov: int, avail: int, live):
-        """One pass over the available columns in ``live``: the uncovered
-        rows that lie in at least one, two and three of them, the most
-        uncovered rows any one of them holds, and the ones that hold one.
+    def _planes(self, avail: int) -> list[int]:
+        """Every row's count of the columns in ``avail``, as bit planes."""
+        # a count is at most len(cols), and an instance has at least three
+        # columns (no group is the union of two proper subgroups), so there
+        # are at least two planes
+        planes = [0] * len(self.ins.cols).bit_length()
+        for c in _bit_indices(avail):
+            carry, p = self.ins.col_rows[c], 0
+            while carry:  # one onto the count of each row of c
+                plane = planes[p]
+                planes[p] = plane ^ carry
+                carry &= plane
+                p += 1
+        return planes
 
-        ``live`` lists every available column that holds an uncovered row;
-        as covered rows only grow, the returned list serves every
-        descendant node."""
+    def _reaches(self, uncov: int, avail: int, t: int) -> bool:
+        """Whether some available column holds at least ``t`` of the rows in
+        ``uncov``."""
         col_rows = self.ins.col_rows
-        one = two = three = most = 0
-        held = []
-        for c in live:
-            if avail >> c & 1:
-                r = col_rows[c] & uncov
-                if r:
-                    held.append(c)
-                    three |= two & r
-                    two |= one & r
-                    one |= r
-                    n = r.bit_count()
-                    if n > most:
-                        most = n
-        return one, two, three, most, held
+        for size, c in self.ins.cols_by_size:
+            if size < t:
+                return False
+            if avail >> c & 1 and (col_rows[c] & uncov).bit_count() >= t:
+                return True
+        return False
 
-    def _lower(self, covered_elems: int, avail: int, uncov: int, most: int):
-        lb = self.ins.residual_lower_bound(covered_elems, avail)
-        if lb is None or not uncov:
-            return lb
-        if most == 0:
-            return None
-        return max(lb, -(uncov.bit_count() // -most), 1)
-
-    def _dfs(self, covered_rows, covered_elems, avail, live, chosen):
+    def _dfs(self, covered_rows, covered_elems, avail, planes, chosen):
         self._spend_node()
         ins = self.ins
         col_rows, row_cols = ins.col_rows, ins.row_cols
+        high = 0
+        for plane in planes[2:]:
+            high |= plane
+        held1 = planes[0] | planes[1] | high
+        held2 = planes[1] | high
+        held3 = planes[0] & planes[1] | high
         # in-node forcing: rows with a single available column
         while True:
             uncov = self.all_rows ^ covered_rows
             if not uncov:
                 self._record(chosen)
                 return
-            one, two, three, most, live = self._scan(uncov, avail, live)
-            if uncov != one:  # a row in no available column
+            if uncov & ~held1:  # a row in no available column
                 return
-            lb = self._lower(covered_elems, avail, uncov, most)
-            if lb is None or len(chosen) + lb > self.allow:
+            # prune when ⌈u/most⌉ or the residual bound exceeds r, the
+            # columns still allowed; ⌈u/most⌉ > r exactly when no available
+            # column holds ⌈u/r⌉ of the u uncovered rows
+            r = self.allow - len(chosen)
+            if r < 1 or not self._reaches(uncov, avail, -(uncov.bit_count() // -r)):
                 return
-            ones = uncov & ~two
+            lb = ins.residual_lower_bound(covered_elems, avail)
+            if lb is None or lb > r:
+                return
+            ones = uncov & ~held2
             if not ones:
                 break
             forced = []
@@ -451,12 +473,17 @@ class _Search:
                 chosen.append(c)
                 covered_rows |= col_rows[c]
                 covered_elems |= ins.col_elem_bits[c]
-        # branch on the first uncovered row with fewest available columns
-        pairs = two & ~three
+        # branch on the first uncovered row with fewest available columns:
+        # a row held by exactly two, else the bit-sliced minimum count
+        pairs = uncov & held2 & ~held3
         if pairs:
             pivot = (pairs & -pairs).bit_length() - 1
         else:
-            pivot = min(_bit_indices(uncov), key=lambda i: (row_cols[i] & avail).bit_count())
+            least = uncov
+            for plane in reversed(planes):
+                if least & ~plane:
+                    least &= ~plane
+            pivot = (least & -least).bit_length() - 1
         cands = sorted(
             _bit_indices(row_cols[pivot] & avail),
             key=lambda c: (-(col_rows[c] & uncov).bit_count(), c),
@@ -465,11 +492,18 @@ class _Search:
             if len(chosen) + 1 > self.allow:
                 break
             avail &= ~(1 << c)  # c is decided here; later branches avoid it
+            rows, planes = col_rows[c], planes.copy()
+            p = 0
+            while rows:  # one off the count of each row of c
+                plane = planes[p]
+                planes[p] = plane ^ rows
+                rows &= ~plane
+                p += 1
             self._dfs(
                 covered_rows | col_rows[c],
                 covered_elems | ins.col_elem_bits[c],
                 avail,
-                live,
+                planes,
                 chosen + [c],
             )
             if self.solutions is not None and len(self.solutions) > self.solution_limit:
@@ -490,22 +524,28 @@ class _Search:
         ins = self.ins
         incumbent = greedy_upper_bound(ins, self.cols)
         self.best = incumbent
-        covered, elems, avail, live, chosen = self._start_state()
+        covered, elems, avail, chosen = self._start_state()
         uncov = self.all_rows ^ covered
-        lb0 = self._lower(elems, avail, uncov, self._scan(uncov, avail, live)[3])
-        if lb0 is None:
+        lb0 = ins.residual_lower_bound(elems, avail)
+        most = max(
+            (r & uncov).bit_count() for c, r in enumerate(ins.col_rows) if avail >> c & 1
+        )
+        if lb0 is None or uncov and not most:
             raise InvariantError("instance admits no cover at the root")
-        self.root_lb = len(chosen) + lb0 if uncov else len(chosen)
+        self.root_lb = len(chosen)
+        if uncov:
+            self.root_lb += max(lb0, -(uncov.bit_count() // -most), 1)
         self.allow = len(self.best) - 1
         if self.root_lb <= self.allow:
-            self._dfs(covered, elems, avail, live, chosen)
+            self._dfs(covered, elems, avail, self._planes(avail), chosen)
         return len(self.best), self.best, self.root_lb
 
     def enumerate(self, sigma: int, limit: int) -> tuple[object, list[tuple[int, ...]], bool]:
         self.solutions = []
         self.solution_limit = limit
         self.allow = sigma
-        self._dfs(*self._start_state())
+        covered, elems, avail, chosen = self._start_state()
+        self._dfs(covered, elems, avail, self._planes(avail), chosen)
         sols = sorted(set(self.solutions))
         if len(sols) > limit:
             return f">={limit + 1}", sols[:limit], False

@@ -6,6 +6,11 @@ table.  The algorithms are the naive textbook ones — breadth-first closure,
 cyclic-extension subgroup enumeration, and an exhaustive branch-and-bound
 cover search over ALL proper subgroups (not only maximal ones) — so that
 agreement with the package is meaningful evidence, not a shared bug.
+
+The one exception is :class:`ReferenceSearch`, the package's cover search
+before it kept its rows' column counts as bit planes.  It runs on the
+package's own instance, because what it checks is that the faster search
+visits the same branch-and-bound tree.
 """
 
 from __future__ import annotations
@@ -14,6 +19,9 @@ from collections import Counter
 from math import lcm
 
 import numpy as np
+
+from groupcover.cover import CoverInstance, _bit_indices, greedy_upper_bound
+from groupcover.errors import BudgetExhaustedError, InvariantError
 
 
 def o_compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -283,3 +291,174 @@ class BruteGroup:
 
         dfs(0, full, frozenset(range(len(sets))))
         return best[0]
+
+
+class ReferenceSearch:
+    """The cover search as it was before its count planes, kept as the
+    reference that the search on count planes must match node for node:
+    every node makes one pass over its live columns (``_scan``) for the
+    rows held by at least one, two and three available columns and the
+    largest column.
+
+    The same interface as ``groupcover.cover._Search``: ``solve()`` and
+    ``enumerate(sigma, limit)``, and ``nodes`` afterwards.
+    """
+
+    def __init__(self, instance: CoverInstance, node_budget: int, cols: int | None = None):
+        self.ins = instance
+        self.cols = cols
+        self.node_budget = node_budget
+        self.nodes = 0
+        self.best: list[int] | None = None
+        self.allow = 0  # covers of size <= allow are still interesting
+        self.solutions: list[tuple[int, ...]] | None = None
+        self.solution_limit = 0
+        self.root_lb = 0
+        self.all_rows = (1 << len(instance.rows)) - 1
+
+    # ----- shared machinery
+
+    def _spend_node(self):
+        self.nodes += 1
+        if self.nodes > self.node_budget:
+            raise BudgetExhaustedError(
+                "cover search",
+                self.node_budget,
+                lower=self.root_lb,
+                upper=len(self.best) if self.best is not None else None,
+            )
+
+    def _start_state(self):
+        ins = self.ins
+        avail = (1 << len(ins.cols)) - 1 if self.cols is None else self.cols
+        chosen = list(ins.forced) if self.cols is None else []
+        covered = 0
+        elems = 1 << ins.table.identity_id
+        for j in chosen:
+            covered |= ins.col_rows[j]
+            elems |= ins.col_elem_bits[j]
+        return covered, elems, avail, range(len(ins.cols)), chosen
+
+    def _scan(self, uncov: int, avail: int, live):
+        """One pass over the available columns in ``live``: the uncovered
+        rows that lie in at least one, two and three of them, the most
+        uncovered rows any one of them holds, and the ones that hold one.
+
+        ``live`` lists every available column that holds an uncovered row;
+        as covered rows only grow, the returned list serves every
+        descendant node."""
+        col_rows = self.ins.col_rows
+        one = two = three = most = 0
+        held = []
+        for c in live:
+            if avail >> c & 1:
+                r = col_rows[c] & uncov
+                if r:
+                    held.append(c)
+                    three |= two & r
+                    two |= one & r
+                    one |= r
+                    n = r.bit_count()
+                    if n > most:
+                        most = n
+        return one, two, three, most, held
+
+    def _lower(self, covered_elems: int, avail: int, uncov: int, most: int):
+        lb = self.ins.residual_lower_bound(covered_elems, avail)
+        if lb is None or not uncov:
+            return lb
+        if most == 0:
+            return None
+        return max(lb, -(uncov.bit_count() // -most), 1)
+
+    def _dfs(self, covered_rows, covered_elems, avail, live, chosen):
+        self._spend_node()
+        ins = self.ins
+        col_rows, row_cols = ins.col_rows, ins.row_cols
+        # in-node forcing: rows with a single available column
+        while True:
+            uncov = self.all_rows ^ covered_rows
+            if not uncov:
+                self._record(chosen)
+                return
+            one, two, three, most, live = self._scan(uncov, avail, live)
+            if uncov != one:  # a row in no available column
+                return
+            lb = self._lower(covered_elems, avail, uncov, most)
+            if lb is None or len(chosen) + lb > self.allow:
+                return
+            ones = uncov & ~two
+            if not ones:
+                break
+            forced = []
+            while ones:
+                i = (ones & -ones).bit_length() - 1
+                cols = row_cols[i] & avail
+                c = (cols & -cols).bit_length() - 1
+                forced.append(c)
+                ones &= ~col_rows[c]
+            if len(chosen) + len(forced) > self.allow:
+                return
+            for c in sorted(forced):
+                chosen.append(c)
+                covered_rows |= col_rows[c]
+                covered_elems |= ins.col_elem_bits[c]
+        # branch on the first uncovered row with fewest available columns
+        pairs = two & ~three
+        if pairs:
+            pivot = (pairs & -pairs).bit_length() - 1
+        else:
+            pivot = min(_bit_indices(uncov), key=lambda i: (row_cols[i] & avail).bit_count())
+        cands = sorted(
+            _bit_indices(row_cols[pivot] & avail),
+            key=lambda c: (-(col_rows[c] & uncov).bit_count(), c),
+        )
+        for c in cands:
+            if len(chosen) + 1 > self.allow:
+                break
+            avail &= ~(1 << c)  # c is decided here; later branches avoid it
+            self._dfs(
+                covered_rows | col_rows[c],
+                covered_elems | ins.col_elem_bits[c],
+                avail,
+                live,
+                chosen + [c],
+            )
+            if self.solutions is not None and len(self.solutions) > self.solution_limit:
+                return
+
+    def _record(self, chosen):
+        if self.solutions is not None:
+            if len(chosen) <= self.allow:
+                self.solutions.append(tuple(sorted(chosen)))
+            return
+        if self.best is None or len(chosen) < len(self.best):
+            self.best = sorted(chosen)
+            self.allow = len(self.best) - 1
+
+    # ----- entry points
+
+    def solve(self) -> tuple[int, list[int], int]:
+        ins = self.ins
+        incumbent = greedy_upper_bound(ins, self.cols)
+        self.best = incumbent
+        covered, elems, avail, live, chosen = self._start_state()
+        uncov = self.all_rows ^ covered
+        lb0 = self._lower(elems, avail, uncov, self._scan(uncov, avail, live)[3])
+        if lb0 is None:
+            raise InvariantError("instance admits no cover at the root")
+        self.root_lb = len(chosen) + lb0 if uncov else len(chosen)
+        self.allow = len(self.best) - 1
+        if self.root_lb <= self.allow:
+            self._dfs(covered, elems, avail, live, chosen)
+        return len(self.best), self.best, self.root_lb
+
+    def enumerate(self, sigma: int, limit: int) -> tuple[object, list[tuple[int, ...]], bool]:
+        self.solutions = []
+        self.solution_limit = limit
+        self.allow = sigma
+        self._dfs(*self._start_state())
+        sols = sorted(set(self.solutions))
+        if len(sols) > limit:
+            return f">={limit + 1}", sols[:limit], False
+        return len(sols), sols, True

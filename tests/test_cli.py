@@ -156,6 +156,7 @@ def test_parse_failures_exit_2(capsys):
     assert run(capsys, "table", "--max-sum", "2")[0] == 2
     assert run(capsys, "table", "--cap", "0")[0] == 2
     assert run(capsys, "table", "--node-budget", "0")[0] == 2
+    assert run(capsys, "sigma", "catalog:M11", "--join-budget", "0")[0] == 2
 
 
 def test_cap_exhaustion_exits_3(capsys):
@@ -176,6 +177,27 @@ def test_node_budget_exhaustion_exits_3(tmp_path, capsys):
     assert doc["sigma"] is None
     lo, hi = doc["interval"]
     assert lo <= 10 <= hi
+
+
+def test_join_budget_exhaustion_exits_3_then_sigma_is_exact(tmp_path, capsys):
+    from groupcover import PermGroup, SigmaOptions, sigma
+
+    base = grp("Alt(6)")
+    f = tmp_path / "fresh_a6.grp"
+    f.write_text(
+        "degree 6\n" + "".join(f"gen {g.cycle_string()}\n" for g in base.generators)
+    )
+    code, out, _ = run(capsys, "sigma", str(f), "--join-budget", "10")
+    assert code == 3
+    doc = json.loads(out)
+    # 3 <= σ <= the 121 maximal cyclic subgroups, which need no join
+    assert (doc["sigma"], doc["interval"], doc["cover"]) == (None, [3, 121], [])
+    assert doc["stats"] == {"joins": 10}
+    # the same answers on one group object, and no poisoned cache after them
+    G = PermGroup(list(base.generators), degree=base.degree)
+    res = sigma(G, SigmaOptions(join_budget=10))
+    assert (res.sigma, res.interval) == (None, (3, 121))
+    assert sigma(G).sigma == 16
 
 
 def test_enumeration_budget_exhaustion_prints_sigma_and_exits_3(capsys):

@@ -25,7 +25,9 @@ from groupcover import (
     verify_cover,
 )
 
-from conftest import brute_of, grp
+from groupcover.cover import DEFAULT_NODE_BUDGET, _Search
+
+from conftest import brute_of, grp, manifest_upto
 
 
 def _covers_every_row(ins, cols) -> bool:
@@ -264,6 +266,63 @@ def test_search_tree_is_pinned(spec, nodes, cover, interval, enum_nodes, count, 
     n, covers, exact = enumerate_optimal_covers(ins, sigma, node_budget=enum_nodes)
     assert exact and n == count == len(covers)
     assert hashlib.sha256(repr(covers).encode()).hexdigest()[:16] == digest
+
+
+# (spec, order of the normal N, nodes, σ(G/N), root bound) of searches from
+# the mask of the columns that contain N, with none chosen
+QUOTIENT_SEARCH_PINS = [
+    ("ASL3(2)", 8, 5, 15, 13),
+    ("Sym(6)", 1, 90, 13, 10),
+    ("PSL2(8)", 1, 93, 36, 33),
+]
+
+
+def _quotient_masks(ins):
+    """Each normal N with a non-cyclic quotient, with the mask of the
+    columns that contain N."""
+    for N in ins.lat.normal_subgroups():
+        cols = sum(1 << j for j, M in enumerate(ins.cols) if N.issubset(M))
+        if all(r & cols for r in ins.row_cols):
+            yield N, cols
+
+
+@pytest.mark.parametrize(
+    "spec,n_order,nodes,value,root_lb",
+    QUOTIENT_SEARCH_PINS,
+    ids=[f"{p[0]}/{p[1]}" for p in QUOTIENT_SEARCH_PINS],
+)
+def test_quotient_search_tree_is_pinned(spec, n_order, nodes, value, root_lb):
+    ins = build_instance(grp(spec))
+    [cols] = [cols for N, cols in _quotient_masks(ins) if N.order == n_order]
+    search = _Search(ins, DEFAULT_NODE_BUDGET, cols)
+    assert search.solve()[::2] == (value, root_lb)
+    assert search.nodes == nodes
+
+
+def test_search_matches_the_reference_search():
+    """The search on count planes visits the same tree as the reference
+    search, which makes a pass over the columns at every node: the same
+    nodes, covers, root bound and optimal covers, on each full instance as
+    σ reduces it and from each non-cyclic quotient's column mask."""
+    from oracles import ReferenceSearch
+
+    for spec in manifest_upto(2000):
+        G = grp(spec)
+        if G.is_cyclic():
+            continue
+        ins = reduce_instance(build_instance(G))
+        for cols in [None] + [cols for _, cols in _quotient_masks(ins)]:
+            new = _Search(ins, DEFAULT_NODE_BUDGET, cols)
+            ref = ReferenceSearch(ins, DEFAULT_NODE_BUDGET, cols)
+            got = new.solve()
+            assert (got, new.nodes) == (ref.solve(), ref.nodes), (spec, cols)
+            if cols is None:
+                value = got[0]
+        new = _Search(ins, DEFAULT_NODE_BUDGET)
+        ref = ReferenceSearch(ins, DEFAULT_NODE_BUDGET)
+        assert (new.enumerate(value, 1000), new.nodes) == (
+            ref.enumerate(value, 1000), ref.nodes
+        ), spec
 
 
 def test_enumerate_alt5_optimal_covers():

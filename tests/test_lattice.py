@@ -752,8 +752,11 @@ def test_m11_joins_materialised(m11):
 def test_joins_answered_from_overgroups_still_spend_budget():
     G = _fresh("Alt(6)")
     with pytest.raises(BudgetExhaustedError) as err:
-        sigma(G, SigmaOptions(join_budget=334))
+        lattice(G, join_budget=334).maximal_subgroups()
     assert err.value.budget == 334
+    # σ answers an exhausted join budget with an interval
+    res = sigma(G, SigmaOptions(join_budget=334))
+    assert (res.sigma, res.interval, res.stats) == (None, (3, 121), {"joins": 334})
     assert sigma(G, SigmaOptions(join_budget=335)).sigma == 16
     assert lattice(G).joins_spent == 335
 
