@@ -110,12 +110,8 @@ def _compute_sigma(G: PermGroup, opts: SigmaOptions) -> SigmaResult:
     try:
         ins = build_instance(G, cap=opts.cap, join_budget=opts.join_budget)
     except BudgetExhaustedError:
-        # no group is the union of two proper subgroups; the maximal cyclic
-        # subgroups of a non-cyclic G are proper and cover it, and they are
-        # found without a join
-        lat = lattice(G, cap=opts.cap, join_budget=opts.join_budget)
         result.cover = []
-        result.interval = (3, len(lat.maximal_cyclic_subgroups()))
+        result.interval = _join_exhausted_interval(G, opts)
         result.stats = {"joins": opts.join_budget}
         return result
     reduce_instance(ins)  # unique-coverage forcing
@@ -148,6 +144,14 @@ def _compute_sigma(G: PermGroup, opts: SigmaOptions) -> SigmaResult:
         result.unique = (count == 1) if exact else False
         result.stats["optimal_covers"] = count
     return result
+
+
+def _join_exhausted_interval(G: PermGroup, opts: SigmaOptions) -> tuple[int, int]:
+    """σ's interval for a non-cyclic G whose worklist ran out of joins: no
+    group is the union of two proper subgroups, and the maximal cyclic
+    subgroups, found without a join, are proper and cover it."""
+    lat = lattice(G, cap=opts.cap, join_budget=opts.join_budget)
+    return 3, len(lat.maximal_cyclic_subgroups())
 
 
 def _best_counting_certificate(ins: CoverInstance) -> Certificate:
@@ -628,7 +632,10 @@ def classification_report(
 def _sweep_one(G: PermGroup, spec_text: str, max_sum: int, opts: SigmaOptions) -> dict:
     if G.is_cyclic():
         return {"sigma": INFINITY, "elementary": False, "status": "cyclic"}
-    ins = build_instance(G, cap=opts.cap, join_budget=opts.join_budget)
+    try:
+        ins = build_instance(G, cap=opts.cap, join_budget=opts.join_budget)
+    except BudgetExhaustedError as e:
+        raise BudgetExhaustedError(e.what, e.budget, *_join_exhausted_interval(G, opts))
     root_bound = ins.residual_lower_bound(
         1 << ins.table.identity_id, (1 << len(ins.cols)) - 1
     )

@@ -12,10 +12,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import factorial, gcd
 
 from .errors import GroupFileError, InvariantError, SpecError
-from .group import PermGroup
+from .group import PermGroup, prime_factors
 from .perm import Permutation, parse_cycles
 
 # ---------------------------------------------------------------------------
@@ -33,27 +33,18 @@ _REDUCTIONS = {
 }
 
 
-def _factor_prime_power(q: int) -> tuple[int, int]:
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
-        if q % p == 0:
-            e = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                e += 1
-            if m != 1:
-                raise SpecError(f"{q} is not a prime power")
-            return p, e
-    raise SpecError(f"{q} is not a prime power up to 32")
-
-
 class _Field:
     """Arithmetic tables for GF(q), q <= 32; elements are ints 0..q-1."""
 
     def __init__(self, q: int):
         if not 2 <= q <= 32:
             raise SpecError(f"field order {q} out of supported range 2..32")
-        p, e = _factor_prime_power(q)
+        primes = prime_factors(q)
+        if len(primes) != 1:
+            raise SpecError(f"{q} is not a prime power")
+        p, e = primes[0], 1
+        while p**e < q:
+            e += 1
         self.q, self.p, self.e = q, p, e
         if e > 1 and q not in _REDUCTIONS:
             raise SpecError(f"no reduction polynomial for GF({q})")
@@ -150,19 +141,12 @@ def _projective_perm(F: _Field, a: int, b: int, c: int, d: int, j: int = 0) -> P
 
 def _psl2_gens(q: int) -> list[Permutation]:
     F = _field(q)
-    t = _projective_perm(F, 1, 1, 0, 1)
-    if F.p == 2:
-        m = _projective_perm(F, F.gen, 0, 0, 1) if q > 2 else None
-        w = _projective_perm(F, 0, 1, 1, 0)
-        return [g for g in (t, m, w) if g is not None]
-    nu = F.mul[F.gen][F.gen]
-    m = _projective_perm(F, nu, 0, 0, 1) if q > 3 else None
-    w = _projective_perm(F, 0, F.neg[1], 1, 0)
-    return [g for g in (t, m, w) if g is not None]
-
-
-def _psl2_order(q: int) -> int:
-    return q * (q * q - 1) // gcd(2, q - 1)
+    # nu generates the non-zero squares: all the units in characteristic 2
+    nu = F.gen if F.p == 2 else F.mul[F.gen][F.gen]
+    gens = [_projective_perm(F, 1, 1, 0, 1)]
+    if nu != 1:  # the only non-zero square of GF(2) and GF(3)
+        gens.append(_projective_perm(F, nu, 0, 0, 1))
+    return gens + [_projective_perm(F, 0, F.neg[1], 1, 0)]
 
 
 def _make_psl2(q: int, galois: int = 1) -> PermGroup:
@@ -173,7 +157,7 @@ def _make_psl2(q: int, galois: int = 1) -> PermGroup:
     if galois > 1:
         gens.append(_projective_perm(F, 1, 0, 0, 1, j=F.e // galois))
     name = f"PSL2({q})" + (f":{galois}" if galois > 1 else "")
-    return _built(gens, q + 1, name, _psl2_order(q) * galois)
+    return _built(gens, q + 1, name, q * (q * q - 1) // gcd(2, q - 1) * galois)
 
 
 def _make_pgl2(q: int) -> PermGroup:
@@ -223,7 +207,7 @@ def _make_affine_semilinear(q: int, d: int, f: int) -> PermGroup:
 
 
 def _make_frobenius(p: int, d: int) -> PermGroup:
-    if not _is_prime(p):
+    if prime_factors(p) != [p]:
         raise SpecError(f"Frobenius({p},{d}): {p} must be prime")
     if d < 1 or (p - 1) % d != 0:
         raise SpecError(f"Frobenius({p},{d}): {d} must divide {p - 1}")
@@ -317,16 +301,12 @@ def _make_sym(n: int) -> PermGroup:
     gens = [Permutation([2, 1] + list(range(3, n + 1)))]
     if n > 2:
         gens.append(Permutation(list(range(2, n + 1)) + [1]))
-    from math import factorial
-
     return _built(gens, n, f"Sym({n})", factorial(n))
 
 
 def _make_alt(n: int) -> PermGroup:
     if n < 1:
         raise SpecError("Alt(n) needs n >= 1")
-    from math import factorial
-
     if n <= 2:
         return _built([], max(n, 1), f"Alt({n})", 1)
     three = parse_cycles("(1 2 3)", n)
@@ -348,7 +328,7 @@ def _make_cyclic(n: int) -> PermGroup:
 
 
 def _make_elem_abelian(p: int, k: int) -> PermGroup:
-    if not _is_prime(p):
+    if prime_factors(p) != [p]:
         raise SpecError(f"ElemAbelian({p},{k}): {p} must be prime")
     if k < 1:
         raise SpecError("ElemAbelian(p,k) needs k >= 1")
@@ -369,17 +349,6 @@ def _make_dihedral(n: int) -> PermGroup:
     rot = Permutation(list(range(2, n + 1)) + [1])
     ref = Permutation([1] + list(range(n, 1, -1)))
     return _built([rot, ref], n, f"Dihedral({n})", 2 * n)
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _built(gens, degree: int, name: str, expected_order: int) -> PermGroup:
@@ -414,31 +383,22 @@ _SPEC_RE = re.compile(
     r"^\s*([A-Za-z][A-Za-z0-9]*)\s*(?:\(\s*([0-9,\s]*)\))?\s*(?::\s*(\d+))?\s*$"
 )
 
-_FAMILIES: dict[str, tuple[int, object]] = {}
-
-
-def _family(name: str, arity: int):
-    def wrap(fn):
-        _FAMILIES[name] = (arity, fn)
-        return fn
-
-    return wrap
-
-
-_family("Cyclic", 1)(_make_cyclic)
-_family("ElemAbelian", 2)(_make_elem_abelian)
-_family("Dihedral", 1)(_make_dihedral)
-_family("Frobenius", 2)(_make_frobenius)
-_family("AffineSemilinear", 3)(_make_affine_semilinear)
-_family("AGL1", 1)(_make_agl1)
-_family("Sym", 1)(_make_sym)
-_family("Alt", 1)(_make_alt)
-_family("PGL2", 1)(_make_pgl2)
-_family("PGammaL2", 1)(_make_pgammal2)
-_family("PSL3", 1)(_make_psl3)
-_family("ASL3", 1)(_make_asl3)
-_family("M10", 0)(_make_m10)
-_family("M11", 0)(_make_m11)
+_FAMILIES: dict[str, tuple[int, object]] = {
+    "Cyclic": (1, _make_cyclic),
+    "ElemAbelian": (2, _make_elem_abelian),
+    "Dihedral": (1, _make_dihedral),
+    "Frobenius": (2, _make_frobenius),
+    "AffineSemilinear": (3, _make_affine_semilinear),
+    "AGL1": (1, _make_agl1),
+    "Sym": (1, _make_sym),
+    "Alt": (1, _make_alt),
+    "PGL2": (1, _make_pgl2),
+    "PGammaL2": (1, _make_pgammal2),
+    "PSL3": (1, _make_psl3),
+    "ASL3": (1, _make_asl3),
+    "M10": (0, _make_m10),
+    "M11": (0, _make_m11),
+}
 
 
 def parse_spec(text: str) -> GroupSpec:

@@ -6,7 +6,8 @@ and each new base point is the least point moved by the residue that created
 its level.  No randomization, so identical input always produces identical
 chains.  The one random pass here, ``ElementTable.join_lower_bounds``, runs
 on a fixed seed and only proves lower bounds on subgroup orders, which hold
-whatever its random elements were.
+whatever its random elements were.  It also decides whether it runs at all
+(``_PREPASS_MIN_TARGETS``); the worklist offers it every class.
 
 Element tables assign every group element a stable integer ID: IDs follow the
 lexicographic order of the 0-based image tables.  The rows are read off the
@@ -33,6 +34,14 @@ _PREPASS_SLOTS = 8  # product-replacement slots, and random elements per round
 _PREPASS_ROUNDS = 12
 _PREPASS_STALL = 2  # rounds without a new point before a target is left alone
 _PREPASS_CHUNK_BYTES = 1 << 20  # of inverse transversal rows per chunk of targets
+# The prepass runs on a class with at least _PREPASS_MIN_TARGETS targets.
+# Timed per class over the worklists of the 69 MANIFEST groups of order
+# <= 8160 (2-core machine), prepass and fallback joins against exact joins
+# alone take 1.1-1.6x below 16 targets, 0.7-1.0x at 16-31, 0.6-0.9x at 32-63
+# and 0.4-0.65x from 64 up.  At 64 every class that runs it gains a third or
+# more, and the small solvable groups (no class over 42 targets) run no
+# prepass.
+_PREPASS_MIN_TARGETS = 64
 
 
 class _Level:
@@ -389,12 +398,6 @@ class ElementTable:
     def perm(self, i: int) -> Permutation:
         return Permutation._from_zero(tuple(int(x) for x in self.rows[i]))
 
-    def prepass_chunk(self) -> int:
-        """How many targets one chunk of ``join_lower_bounds`` holds: each
-        target's chain takes L inverse rows of the degree per point."""
-        chain = len(self._sift_base) * self.degree**2 * self.rows.itemsize
-        return _PREPASS_CHUNK_BYTES // chain
-
     def join_lower_bounds(
         self, H: SubgroupSet, targets: np.ndarray, limits: np.ndarray
     ) -> np.ndarray:
@@ -414,8 +417,16 @@ class ElementTable:
         a lower bound on its order, however random the elements were.  A
         target leaves the pass once its bound passes half its limit, or
         after _PREPASS_STALL rounds with no new point.
+
+        The targets run in chunks, each one's chain taking L inverse rows of
+        the degree per point.  Below _PREPASS_MIN_TARGETS targets, or below
+        that many per chunk (a large degree, say), the pass does not pay and
+        every bound is 0.
         """
         L, d = len(self._sift_base), self.degree
+        chunk = _PREPASS_CHUNK_BYTES // (L * d * d * self.rows.itemsize)
+        if min(len(targets), chunk) < _PREPASS_MIN_TARGETS:
+            return np.zeros(len(targets), dtype=np.int64)
         # H's chain on G's base, one transversal element per orbit point
         h_reached = np.zeros((L, d), dtype=bool)
         h_inv = np.zeros((L, d, d), dtype=self.rows.dtype)
@@ -429,7 +440,6 @@ class ElementTable:
             h_inv[i, pts] = self.rows[self.inverse[H.ids[first[pts]]]]
             fixing = fixing[h_rows[fixing, b] == b]
         out = np.empty(len(targets), dtype=np.int64)
-        chunk = self.prepass_chunk()
         for start in range(0, len(targets), chunk):
             part = slice(start, start + chunk)
             out[part] = _sifted_bounds(
@@ -546,6 +556,21 @@ def power_rows(rows: np.ndarray, k: int) -> np.ndarray:
         if not k:
             return out
         rows = rows[at, rows]
+
+
+def prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending (none for n < 2)."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def chain_rows(chain: StabilizerChain, dtype) -> np.ndarray:

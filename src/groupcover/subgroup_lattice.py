@@ -27,7 +27,9 @@ answered, and H's chain is built only when one of its joins needs it.
 A class with many targets answers most of them without Schreier-Sims: one
 seeded random Schreier-Sims prepass over all its targets at once, on numpy
 arrays, proves a lower bound on every |⟨H, x⟩|, and a bound above |K|/2
-(|G|/2) proves the join is K (G).  Only the targets it leaves open take the
+(|G|/2) proves the join is K (G).  Every class is offered the prepass, and
+``ElementTable.join_lower_bounds`` decides whether it runs: it returns zero
+bounds where it would not pay.  Only the targets it leaves open take the
 exact path above, in the same order, so the pushes, the recorded generators
 and the join counts are those of the exact path alone.  The random elements
 only decide how soon a bound is reached, never what a join is, so no result
@@ -69,35 +71,13 @@ from .group import (
     StabilizerChain,
     chain_rows,
     power_rows,
+    prime_factors,
 )
 from .perm import Permutation
 from .subgroup import SubgroupSet, bits_from_ids
 
 DEFAULT_JOIN_BUDGET = 10**7
 _RECORDED_ROWS = 64  # key rows the worklist starts with; it doubles them as needed
-
-# The join prepass (``ElementTable.join_lower_bounds``) runs on a class with
-# at least _PREPASS_MIN_TARGETS targets.  Timed per class over the worklists
-# of the 69 MANIFEST groups of order <= 8160 (2-core machine), prepass and
-# fallback joins against exact joins alone take 1.1-1.6x below 16 targets,
-# 0.7-1.0x at 16-31, 0.6-0.9x at 32-63 and 0.4-0.65x from 64 up.  At 64
-# every class that runs it gains a third or more, and the small solvable
-# groups (no class over 42 targets) run no prepass.
-_PREPASS_MIN_TARGETS = 64
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _row_tuple(table: ElementTable, i: int) -> tuple[int, ...]:
@@ -163,7 +143,6 @@ class SubgroupLattice:
         self._elem_to_cyclic: np.ndarray | None = None
         self._maximal_cyclic: list[SubgroupSet] | None = None
         self._recorded: _Recorded | None = None
-        self._maximal_classes: list[list[SubgroupSet]] | None = None
         self._maximal: list[SubgroupSet] | None = None
         self._normals: list[SubgroupSet] | None = None
         self._chief: list[ChiefFactorRecord] | None = None
@@ -207,7 +186,7 @@ class SubgroupLattice:
         rep_orders = orders[reps]
         below: list[list[int]] = [[] for _ in range(len(reps))]
         non_maximal = np.zeros(len(reps), dtype=bool)
-        for p in _prime_factors(n):  # every element order divides |G|
+        for p in prime_factors(n):  # every element order divides |G|
             at = np.flatnonzero(rep_orders % p == 0)
             sub = cls[T.lookup_rows(power_rows(T.rows[reps[at]], p))]
             non_maximal[sub] = True
@@ -316,11 +295,13 @@ class SubgroupLattice:
         return self._maximal
 
     def maximal_classes(self) -> list[list[SubgroupSet]]:
-        """The conjugacy classes of maximal subgroups, each sorted by key,
-        in the order the worklist found them maximal."""
-        if self._maximal is None:
-            self._run_worklist()
-        return self._maximal_classes
+        """The conjugacy classes of maximal subgroups, each sorted by key:
+        the orbits the worklist flagged maximal, in the order it recorded them."""
+        self.maximal_subgroups()  # runs the worklist
+        return [
+            [self._member(r) for r in range(o.start, o.stop)]
+            for o in self._recorded.orbits if o.maximal
+        ]
 
     def all_subgroups(self) -> list[SubgroupSet]:
         """Every subgroup of the ambient group except the group itself,
@@ -344,7 +325,6 @@ class SubgroupLattice:
         self.joins_spent = self.joins_materialised = self.joins_exact = 0
         T = self.table
         rec = self._recorded = _Recorded(T)
-        classes: list[list[SubgroupSet]] = []
         queue: list[tuple[int, bytes, int]] = []
         if T.n > 1:
             trivial = SubgroupSet(T, 1 << T.identity_id, gen_ids=[])
@@ -362,14 +342,14 @@ class SubgroupLattice:
                 recorded[self._elem_to_cyclic[orbit.gens[:, 0]]] = True
             while queue:
                 _, _, i = heapq.heappop(queue)
-                self._process_class(rec.orbits[i], queue, classes)
-            if not classes:
+                self._process_class(rec.orbits[i], queue)
+            if not any(o.maximal for o in rec.orbits):
                 # No proper non-trivial subgroup at all: |G| is prime and
                 # the trivial subgroup is the unique maximal subgroup.
                 alone.maximal = trivial.is_maximal = True
-                classes.append([trivial])
-        self._maximal_classes = classes
-        self._maximal = sorted((M for c in classes for M in c), key=lambda s: s.key)
+        self._maximal = self._members(
+            r for o in rec.orbits if o.maximal for r in range(o.start, o.stop)
+        )
 
     def _record(self, S: SubgroupSet, queue: list) -> "_Orbit":
         """Record the conjugacy orbit of S, which is not recorded yet, and
@@ -396,7 +376,7 @@ class SubgroupLattice:
             orbit.adopt(S, r)
         return S
 
-    def _process_class(self, orbit: "_Orbit", queue: list, classes: list) -> None:
+    def _process_class(self, orbit: "_Orbit", queue: list) -> None:
         """Join the class representative H, the orbit's first row, with its
         targets; flag the whole orbit maximal when every join is G.
 
@@ -408,9 +388,10 @@ class SubgroupLattice:
 
         Every join gets the Lagrange bound of ``_least_join_order`` against
         the smallest known overgroup K of H holding x (G when there is
-        none).  A class with many targets also runs one random Schreier-Sims
-        prepass over all of them (``ElementTable.join_lower_bounds``), which
-        proves another lower bound on every |⟨H, x⟩|.  The targets are then
+        none).  Every class is also offered one random Schreier-Sims prepass
+        over all its targets (``ElementTable.join_lower_bounds``), which
+        decides for itself whether to run and, when it does, proves another
+        lower bound on every |⟨H, x⟩|.  The targets are then
         answered in order, and a bound that passes |K|/2 proves that the
         join is K without an exact Schreier-Sims.  The bounds are proven
         whatever the random elements were, so the seed only decides how many
@@ -422,13 +403,8 @@ class SubgroupLattice:
         chain_H = cache(lambda: _chain_of_ids(T, H.gen_ids))
         targets = self._targets_for(H, T.n // H.order)
         over = _Overgroups(rec, H, targets)
-        # a large degree (a regular representation, say) makes each target's
-        # chain too large for a chunk of targets; those joins stay exact
-        if min(len(targets), T.prepass_chunk()) >= _PREPASS_MIN_TARGETS:
-            limits = np.where(over.best < 0, T.n, rec.orders[over.best])
-            lower = T.join_lower_bounds(H, targets, limits).tolist()
-        else:
-            lower = [0] * len(targets)
+        limits = np.where(over.best < 0, T.n, rec.orders[over.best])
+        lower = T.join_lower_bounds(H, targets, limits).tolist()
         cyclic = self._cyclic
         cyclic_of = memoryview(self._elem_to_cyclic)  # indexes to Python ints
         all_join_full = True
@@ -454,8 +430,6 @@ class SubgroupLattice:
         orbit.maximal = all_join_full
         for S in orbit.built.values():
             S.is_maximal = all_join_full
-        if all_join_full:
-            classes.append([self._member(r) for r in range(orbit.start, orbit.stop)])
 
     def _join_answer(
         self,
@@ -510,7 +484,8 @@ class SubgroupLattice:
         deduplicated under conjugation by H (valid because discovered joins
         are pushed as whole conjugacy orbits).  Each H-orbit is represented
         by its least member: the cyclic subgroup first in key order, or the
-        least element of the double coset HxH.  Targets come in ascending order.
+        least element of the double coset HxH, whose right cosets Hx are
+        labelled by ``_coset_minima``.  Targets come in ascending order.
         """
         T = self.table
         self.cyclic_subgroups()
@@ -526,16 +501,21 @@ class SubgroupLattice:
             )
             return gens[outside & (label == np.arange(len(gens)))]
 
-        # label every element by the least element of its right coset Hx
-        all_ids = np.arange(T.n, dtype=np.int32)
-        coset_min = _orbit_minima([T.lmul(h, all_ids) for h in H.gen_ids], T.n)
-        reps = np.nonzero((coset_min == all_ids) & ~in_h)[0].astype(np.int32)
+        coset_min = self._coset_minima(H)
+        reps = np.flatnonzero((coset_min == np.arange(T.n)) & ~in_h).astype(np.int32)
         # conjugation by h maps the coset Hy to Hyh
         label = _orbit_minima(
             [np.searchsorted(reps, coset_min[T.conj(reps, h)]) for h in H.gen_ids],
             len(reps),
         )
         return reps[label == np.arange(len(reps))]
+
+    def _coset_minima(self, H: SubgroupSet) -> np.ndarray:
+        """Every element labelled by the least element of its right coset
+        Hx, the orbit of x under left multiplication by H's generators."""
+        T = self.table
+        all_ids = np.arange(T.n, dtype=np.int32)
+        return _orbit_minima([T.lmul(h, all_ids) for h in H.gen_ids], T.n)
 
     # -- normal structure ---------------------------------------------------
 
@@ -593,18 +573,16 @@ class SubgroupLattice:
 
     def quotient(self, N: SubgroupSet) -> PermGroup:
         """G/N as a permutation group on the right cosets of N, numbered in
-        the order of their least element IDs."""
+        the order of their least element IDs (``_coset_minima``).  N is
+        looked up among :meth:`normal_subgroups` by its bits: the normality
+        check, and the recorded generators for a bare bit vector."""
         T = self.table
-        if not self.is_normal(N):
+        N = next((M for M in self.normal_subgroups() if M.bits == N.bits), None)
+        if N is None:
             raise ValueError("quotient requires a normal subgroup")
-        coset_of = np.full(T.n, -1, dtype=np.int64)
-        reps: list[int] = []
-        n_ids = N.ids
-        for x in range(T.n):
-            if coset_of[x] >= 0:
-                continue
-            coset_of[T.mul_many(n_ids, x)] = len(reps)
-            reps.append(x)
+        coset_min = self._coset_minima(N)
+        reps = np.flatnonzero(coset_min == np.arange(T.n)).astype(np.int32)
+        coset_of = np.searchsorted(reps, coset_min)
         gens = [
             Permutation((coset_of[T.mul_many(reps, gid)] + 1).tolist())
             for gid in T.generator_ids()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from groupcover import (
@@ -120,6 +122,35 @@ def test_spec_errors():
     ]:
         with pytest.raises(SpecError):
             construct(bad)
+
+
+# beyond the manifest: the out-of-sample groups of the roadmap, and affine
+# groups over the fields of order 25, 27 and 32
+CATALOG_EXTRA = (
+    "PSL2(13)", "PSL2(17)", "PSL2(19)", "PSL2(23)", "PSL2(25)", "PSL2(27)",
+    "PGL2(11)", "Sym(7)", "AGL1(25)", "AGL1(27)", "AGL1(32)",
+)
+CATALOG_MALFORMED = (
+    "AGL1(6)", "PSL2(12)", "PSL2(33)", "Frobenius(15,2)", "ElemAbelian(9,2)",
+    "PSL2(2,3)", "Sym(3):2", "Foo(3)",
+)
+# taken before prime factorisation had one owner in the package
+CATALOG_DIGEST = "97cf5317269b3d56c4029752596e5120bc8db08dca8595b4119b89deef9c99d6"
+
+
+def test_catalog_generators_pinned():
+    # name, degree, generator images and order of every constructed group,
+    # and the exception type and message of every malformed spec
+    h = hashlib.sha256()
+    for spec in MANIFEST + CATALOG_EXTRA:
+        G = construct(spec)
+        images = [g.zero for g in G.generators]
+        h.update(f"{spec} {G.name} {G.degree} {images} {G.order()}\n".encode())
+    for spec in CATALOG_MALFORMED:
+        with pytest.raises(SpecError) as err:
+            construct(spec)
+        h.update(f"{spec} {type(err.value).__name__} {err.value}\n".encode())
+    assert h.hexdigest() == CATALOG_DIGEST
 
 
 def test_isomorphism_cross_checks():

@@ -200,6 +200,32 @@ def test_join_budget_exhaustion_exits_3_then_sigma_is_exact(tmp_path, capsys):
     assert sigma(G).sigma == 16
 
 
+def test_table_join_budget_exhaustion_gives_sigma_intervals(tmp_path, capsys, monkeypatch):
+    from groupcover import analysis, construct, lattice
+
+    # fresh groups, so that no lattice of the session answers without joins
+    fresh = {}
+
+    def build(spec):
+        fresh[spec] = construct.__wrapped__(spec)
+        return fresh[spec]
+
+    monkeypatch.setattr(analysis, "construct", build)
+    out = tmp_path / "table.json"
+    code, text, _ = run(capsys, "table", "--max-sum", "5", "--join-budget", "1",
+                        "--out", str(out))
+    assert code == 3
+    assert "Sym(4): skipped on exhausted maximal-subgroup enumeration" in text
+    skipped = {e["spec"]: e["interval"] for e in json.loads(out.read_text())["sweep"]
+               if e.get("status") == "skipped"}
+    assert len(skipped) == 66
+    # the interval sigma gives on the same budget: 3 <= σ <= the number of
+    # maximal cyclic subgroups
+    for spec, interval in skipped.items():
+        assert interval == [3, len(lattice(fresh[spec]).maximal_cyclic_subgroups())]
+    assert skipped["ElemAbelian(2,2)"] == [3, 3] and skipped["Sym(4)"] == [3, 13]
+
+
 def test_enumeration_budget_exhaustion_prints_sigma_and_exits_3(capsys):
     code, out, _ = run(
         capsys, "sigma", "catalog:AGL1(7)", "--enumerate-all", "--node-budget", "1"

@@ -27,6 +27,7 @@ from groupcover import (
     sigma,
     tomkinson_sigma,
 )
+from groupcover.subgroup import SubgroupSet
 from groupcover.subgroup_lattice import SubgroupLattice, _chain_of_ids
 
 lattice_module = importlib.import_module("groupcover.subgroup_lattice")
@@ -322,6 +323,24 @@ def test_quotient_map_is_homomorphism():
     assert sorted(kernel) == sorted(int(i) for i in N.ids)
 
 
+# taken before the right cosets of a quotient had one owner in the lattice
+QUOTIENTS = "07ab64d173a4dc1685c11c1d12afdfd5975f1fe99d512a9221f50c69e8a95151"
+
+
+def test_quotients_pinned():
+    # degree and generator images of G/N for every normal N, passed as the
+    # lattice lists it and as a bare bit vector with no generators
+    h = hashlib.sha256()
+    for spec in ("Sym(4)", "ASL3(2)", "PGammaL2(9)", "AGL1(16)"):
+        lat = lattice(grp(spec))
+        for N in lat.normal_subgroups():
+            for M in (N, SubgroupSet(lat.table, N.bits)):
+                Q = lat.quotient(M)
+                images = [g.zero for g in Q.generators]
+                h.update(f"{spec} {Q.degree} {images}\n".encode())
+    assert h.hexdigest() == QUOTIENTS
+
+
 def test_chief_series_sym4():
     lat = lattice(grp("Sym(4)"))
     records = lat.chief_series()
@@ -549,7 +568,7 @@ def test_lagrange_bound_answers_joins_without_schreier_sims(
 
 @pytest.mark.parametrize("spec", ["Sym(5)", "Alt(6)", "PGL2(7)"])
 def test_every_join_answer_with_the_prepass_on_every_class(spec, monkeypatch):
-    monkeypatch.setattr(lattice_module, "_PREPASS_MIN_TARGETS", 1)
+    monkeypatch.setattr(group_module, "_PREPASS_MIN_TARGETS", 1)
     answers = _check_join_answers(spec, monkeypatch)
     assert any(proven for *_, proven in answers)
 
@@ -615,7 +634,7 @@ def _fingerprint(lat: SubgroupLattice) -> list:
 @pytest.mark.parametrize("spec, min_targets", [("PGL2(7)", 1), ("M11", None)])
 def test_worklist_does_not_depend_on_the_prepass_seed(spec, min_targets, monkeypatch):
     if min_targets is not None:
-        monkeypatch.setattr(lattice_module, "_PREPASS_MIN_TARGETS", min_targets)
+        monkeypatch.setattr(group_module, "_PREPASS_MIN_TARGETS", min_targets)
     exact = _count_exact_joins(monkeypatch)
     prints = []
     for seed in (group_module._PREPASS_SEED, 1, 2):
@@ -651,7 +670,7 @@ def test_small_catalog_lattices_pinned():
 def test_prepass_on_every_class_keeps_the_join_counts(
     spec, joins, materialised, monkeypatch
 ):
-    monkeypatch.setattr(lattice_module, "_PREPASS_MIN_TARGETS", 1)
+    monkeypatch.setattr(group_module, "_PREPASS_MIN_TARGETS", 1)
     lat = _fresh_lattice(spec)
     lat.maximal_subgroups()
     assert lat.joins_spent == joins
