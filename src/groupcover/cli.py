@@ -82,9 +82,13 @@ def _emit(doc: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _options(args) -> SigmaOptions:
+def _check_cap(args) -> None:
     if args.cap < 1:
         raise ParseError("--cap must be at least 1")
+
+
+def _options(args) -> SigmaOptions:
+    _check_cap(args)
     if args.node_budget < 1:
         raise ParseError("--node-budget must be at least 1")
     if args.join_budget < 1:
@@ -117,6 +121,7 @@ def cmd_sigma(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _check_cap(args)
     G = _load_group(args.spec)
     payload = json.loads(Path(args.cover_file).read_text())
     if isinstance(payload, dict):
@@ -125,8 +130,12 @@ def cmd_verify(args) -> int:
             raise ParseError(f"{args.cover_file}: document has no 'cover' array")
     else:
         cover = payload
-    if not isinstance(cover, list) or not all(isinstance(s, list) for s in cover):
-        raise ParseError(f"{args.cover_file}: cover must be an array of generator lists")
+    if not isinstance(cover, list) or not all(
+        isinstance(s, list) and all(isinstance(g, str) for g in s) for s in cover
+    ):
+        raise ParseError(
+            f"{args.cover_file}: cover must be an array of lists of cycle strings"
+        )
     result = verify_cover(G, cover, cap=args.cap)
     if result.ok:
         print(f"cover of {G.label()} accepted ({len(cover)} subgroups)")

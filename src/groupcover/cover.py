@@ -31,16 +31,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetExhaustedError, CyclicGroupError, InvariantError
-from .group import DEFAULT_ELEMENT_CAP, PermGroup, StabilizerChain
-from .perm import parse_cycles
-from .subgroup import SubgroupSet, bits_from_ids
-from .subgroup_lattice import (
-    DEFAULT_JOIN_BUDGET,
-    SubgroupLattice,
-    _subgroup_from_chain,
-    lattice,
+from .errors import (
+    BudgetExhaustedError,
+    CapExceededError,
+    CyclicGroupError,
+    InvariantError,
 )
+from .group import (
+    DEFAULT_ELEMENT_CAP,
+    PermGroup,
+    StabilizerChain,
+    _sift_index,
+    chain_rows,
+    row_dtype,
+    sift_keys,
+)
+from .perm import Permutation, parse_cycles
+from .subgroup import SubgroupSet, bits_from_ids
+from .subgroup_lattice import DEFAULT_JOIN_BUDGET, SubgroupLattice, lattice
 
 DEFAULT_NODE_BUDGET = 10**8
 
@@ -593,10 +601,22 @@ def enumerate_optimal_covers(
 
 
 def verify_cover(G: PermGroup, subgroups, cap: int = DEFAULT_ELEMENT_CAP) -> VerifyResult:
-    """Check that generator lists describe proper subgroups covering G."""
-    T = G.table(cap)
-    union = 0
-    full = (1 << T.n) - 1
+    """Check that generator lists describe proper subgroups covering G.
+
+    The check trusts G's stabilizer chain and each subgroup's own chain,
+    nothing else.  A subgroup is proper when its chain's order is below
+    |G|.  Every subgroup's elements, read off its chain, go by their sift
+    keys on G's chain into one mask over G, and the subgroups cover G when
+    every key is marked.  Sift key k is element k of ``chain_rows`` of G's
+    chain, so an uncovered element is named without G's element table: the
+    lexicographically largest, which is the one of largest table ID.
+    """
+    n = G.order()
+    if n > cap:
+        raise CapExceededError(n, cap)
+    dtype = row_dtype(G.degree)
+    # the empty block lets a cover of no subgroups concatenate too
+    orders, rows = [], [np.empty((0, G.degree), dtype=dtype)]
     for idx, gens in enumerate(subgroups):
         perms = [parse_cycles(g, G.degree) if isinstance(g, str) else g for g in gens]
         for p in perms:
@@ -607,16 +627,27 @@ def verify_cover(G: PermGroup, subgroups, cap: int = DEFAULT_ELEMENT_CAP) -> Ver
                     witness=f"subgroup {idx}: {p.cycle_string()}",
                 )
         chain = StabilizerChain.build([p.zero for p in perms], G.degree)
-        if chain.order() == T.n:
+        if chain.order() == n:
             return VerifyResult(
                 False, reason="subgroup-not-proper", witness=f"subgroup {idx}"
             )
-        union |= _subgroup_from_chain(T, chain, None).bits
-    if union != full:
-        missing = (union ^ full).bit_length() - 1
+        orders.append(chain.order())
+        rows.append(chain_rows(chain, dtype))
+    # one sift of every subgroup's elements, then one mark per subgroup
+    keys = sift_keys(_sift_index(G.chain, dtype), np.concatenate(rows))
+    covered = np.zeros(n, dtype=bool)
+    for order, part in zip(orders, np.split(keys, np.cumsum(orders)[:-1])):
+        mask = np.zeros(n, dtype=bool)
+        mask[part] = True
+        if np.count_nonzero(mask) != order:
+            raise InvariantError("a subgroup's elements disagree with its chain's order")
+        covered |= mask
+    if not covered.all():
+        missing = chain_rows(G.chain, dtype)[~covered]
+        last = missing[np.lexsort(missing.T[::-1])[-1]]
         return VerifyResult(
             False,
             reason="element-uncovered",
-            witness=T.perm(missing).cycle_string(),
+            witness=Permutation((last + 1).tolist()).cycle_string(),
         )
     return VerifyResult(True)

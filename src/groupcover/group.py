@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import random
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -217,13 +218,13 @@ class ElementTable:
         self.group = group
         self.degree = group.degree
         self.n = order
-        rows = chain_rows(group.chain, np.int8 if self.degree <= 120 else np.int16)
+        rows = chain_rows(group.chain, row_dtype(self.degree))
         rows = rows[np.lexsort(rows.T[::-1])]
         self.rows = rows
         self.identity_id = 0  # the identity row is the lexicographically least
-        self._sift_base, self._sift_levels = _sift_index(group.chain, rows.dtype)
+        self._sift = _sift_index(group.chain, rows.dtype)
         self._slot = np.full(order, -1, dtype=np.int32)
-        self._slot[self._sift_keys(rows)] = np.arange(order, dtype=np.int32)
+        self._slot[sift_keys(self._sift, rows)] = np.arange(order, dtype=np.int32)
         if (self._slot < 0).any():
             raise AssertionError("sift keys of the element rows collide")
         # The chain products lie in ⟨gens⟩ and hold the identity, so rows
@@ -251,24 +252,6 @@ class ElementTable:
         """Each element's inverse, by ID."""
         return self.lookup_rows(np.argsort(self.rows, axis=1).astype(self.rows.dtype))
 
-    def _sift_keys(self, mat: np.ndarray) -> np.ndarray:
-        """Mixed-radix sift coordinates of each row, level 0 most significant.
-
-        Only the images of the base points are stripped.  A base image
-        outside its basic orbit takes position -1, which keeps every key in
-        (-|G|, |G|) and so a valid index of the slot array; the row that
-        slot names then differs from the given one, which ``lookup_rows``
-        rejects.
-        """
-        images = mat[:, self._sift_base]
-        keys = np.zeros(mat.shape[0], dtype=np.intp)
-        for pos, inv_rows, stride in self._sift_levels:
-            p = pos[images[:, 0]]
-            keys += p * stride
-            # strip u^-1: every later base image b becomes u^-1(b)
-            images = inv_rows[p[:, None], images[:, 1:]]
-        return keys
-
     def lookup_rows(self, mat: np.ndarray) -> np.ndarray:
         """Map a matrix of image rows to element IDs; KeyError if one is not in G.
 
@@ -277,7 +260,7 @@ class ElementTable:
         """
         if mat.dtype != self.rows.dtype:
             mat = mat.astype(self.rows.dtype)
-        ids = self._slot[self._sift_keys(mat)]
+        ids = self._slot[sift_keys(self._sift, mat)]
         if not (self.rows[ids] == mat).all():
             raise KeyError("row outside the group")
         return ids
@@ -423,7 +406,7 @@ class ElementTable:
         that many per chunk (a large degree, say), the pass does not pay and
         every bound is 0.
         """
-        L, d = len(self._sift_base), self.degree
+        L, d = len(self._sift.base), self.degree
         chunk = _PREPASS_CHUNK_BYTES // (L * d * d * self.rows.itemsize)
         if min(len(targets), chunk) < _PREPASS_MIN_TARGETS:
             return np.zeros(len(targets), dtype=np.int64)
@@ -432,7 +415,7 @@ class ElementTable:
         h_inv = np.zeros((L, d, d), dtype=self.rows.dtype)
         h_rows = self.rows[H.ids]
         fixing = np.arange(len(h_rows))
-        for i, b in enumerate(self._sift_base.tolist()):
+        for i, b in enumerate(self._sift.base.tolist()):
             first = np.full(d, -1, dtype=np.intp)
             first[h_rows[fixing, b]] = fixing
             pts = np.flatnonzero(first >= 0)
@@ -448,9 +431,21 @@ class ElementTable:
         return out
 
 
-def _sift_index(chain: StabilizerChain, dtype):
+def row_dtype(degree: int):
+    """The dtype of a group's image rows."""
+    return np.int8 if degree <= 120 else np.int16
+
+
+class _SiftIndex(NamedTuple):
     """Base points and, per level, (orbit position of each point or -1,
     inverse transversal rows in orbit order, mixed-radix stride)."""
+
+    base: np.ndarray
+    levels: list
+
+
+def _sift_index(chain: StabilizerChain, dtype) -> _SiftIndex:
+    """The sift index of a chain, its rows of the given dtype."""
     levels = []
     stride = 1
     for lvl in reversed(chain.levels):
@@ -461,7 +456,28 @@ def _sift_index(chain: StabilizerChain, dtype):
         stride *= len(lvl.orbit)
     levels.reverse()
     base = np.array(chain.base(), dtype=np.intp)
-    return base, levels
+    return _SiftIndex(base, levels)
+
+
+def sift_keys(index: _SiftIndex, mat: np.ndarray) -> np.ndarray:
+    """Mixed-radix sift coordinates of each row on a chain, level 0 most
+    significant: a bijection from the chain's group onto [0, |G|), and the
+    position of each element in ``chain_rows`` of that chain.
+
+    Only the images of the base points are stripped.  A base image outside
+    its basic orbit takes position -1, which keeps every key in (-|G|, |G|)
+    and so a valid index of an array of length |G|; the element that key
+    names then differs from the given row, which a caller that may meet
+    rows outside the group must check.
+    """
+    images = mat[:, index.base]
+    keys = np.zeros(mat.shape[0], dtype=np.intp)
+    for pos, inv_rows, stride in index.levels:
+        p = pos[images[:, 0]]
+        keys += p * stride
+        # strip u^-1: every later base image b becomes u^-1(b)
+        images = inv_rows[p[:, None], images[:, 1:]]
+    return keys
 
 
 def _sifted_bounds(T, H, xs, limits, h_reached, h_inv) -> np.ndarray:
@@ -470,7 +486,7 @@ def _sifted_bounds(T, H, xs, limits, h_reached, h_inv) -> np.ndarray:
     Rows are composed as flat gathers: apply a, then b, is
     ``b.ravel()[a + offsets]`` with row i offset by i * degree.
     """
-    base = T._sift_base.tolist()
+    base = T._sift.base.tolist()
     m, d = len(xs), T.degree
     L = len(base)
     # entry (target, level, point) of both at target * L * d + level * d + point

@@ -12,7 +12,8 @@ from operator import itemgetter
 
 from .errors import CycleSyntaxError, PointOutOfRangeError, RepeatedPointError
 
-_TOKEN = re.compile(r"\(|\)|,|\s+|\d+|\S")
+# whitespace matches no alternative, so the scan skips it
+_TOKEN = re.compile(r"\(|\)|,|\d+|\S")
 
 
 def compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -138,9 +139,8 @@ def parse_cycles(text: str, degree: int) -> Permutation:
     images = list(range(degree))
     used: set[int] = set()
     current: list[int] | None = None
-    for m in _TOKEN.finditer(text):
-        tok = m.group()
-        if tok.isspace() or tok == ",":
+    for tok in _TOKEN.findall(text):
+        if tok == ",":
             continue
         if tok == "(":
             if current is not None:
@@ -152,7 +152,7 @@ def parse_cycles(text: str, degree: int) -> Permutation:
             for a, b in zip(current, current[1:] + current[:1]):
                 images[a] = b
             current = None
-        elif tok.isdigit():
+        elif tok.isdecimal():  # what int() reads; '²' is a digit but not decimal
             if current is None:
                 raise CycleSyntaxError(f"point {tok} outside any cycle", token=tok)
             point = int(tok)

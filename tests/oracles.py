@@ -7,10 +7,12 @@ cyclic-extension subgroup enumeration, and an exhaustive branch-and-bound
 cover search over ALL proper subgroups (not only maximal ones) — so that
 agreement with the package is meaningful evidence, not a shared bug.
 
-The one exception is :class:`ReferenceSearch`, the package's cover search
-before it kept its rows' column counts as bit planes.  It runs on the
-package's own instance, because what it checks is that the faster search
-visits the same branch-and-bound tree.
+The exceptions are :class:`ReferenceSearch`, the package's cover search
+before it kept its rows' column counts as bit planes, and
+:func:`reference_verify_cover`, the cover check before it ran on G's
+stabilizer chain alone.  Both run on the package's own objects, because
+what they check is that the faster code gives the same results: the same
+branch-and-bound tree, and the same verdict, reason and witness.
 """
 
 from __future__ import annotations
@@ -20,8 +22,16 @@ from math import lcm
 
 import numpy as np
 
-from groupcover.cover import CoverInstance, _bit_indices, greedy_upper_bound
+from groupcover.cover import (
+    CoverInstance,
+    VerifyResult,
+    _bit_indices,
+    greedy_upper_bound,
+)
 from groupcover.errors import BudgetExhaustedError, InvariantError
+from groupcover.group import DEFAULT_ELEMENT_CAP, StabilizerChain
+from groupcover.perm import parse_cycles
+from groupcover.subgroup_lattice import _subgroup_from_chain
 
 
 def o_compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -462,3 +472,35 @@ class ReferenceSearch:
         if len(sols) > limit:
             return f">={limit + 1}", sols[:limit], False
         return len(sols), sols, True
+
+
+def reference_verify_cover(G, subgroups, cap: int = DEFAULT_ELEMENT_CAP) -> VerifyResult:
+    """``verify_cover`` on G's element table: each subgroup as a lattice
+    SubgroupSet, their union as an int of element bits, and the uncovered
+    element of largest ID as the witness."""
+    T = G.table(cap)
+    union = 0
+    full = (1 << T.n) - 1
+    for idx, gens in enumerate(subgroups):
+        perms = [parse_cycles(g, G.degree) if isinstance(g, str) else g for g in gens]
+        for p in perms:
+            if not G.contains(p):
+                return VerifyResult(
+                    False,
+                    reason="generator-outside-group",
+                    witness=f"subgroup {idx}: {p.cycle_string()}",
+                )
+        chain = StabilizerChain.build([p.zero for p in perms], G.degree)
+        if chain.order() == T.n:
+            return VerifyResult(
+                False, reason="subgroup-not-proper", witness=f"subgroup {idx}"
+            )
+        union |= _subgroup_from_chain(T, chain, None).bits
+    if union != full:
+        missing = (union ^ full).bit_length() - 1
+        return VerifyResult(
+            False,
+            reason="element-uncovered",
+            witness=T.perm(missing).cycle_string(),
+        )
+    return VerifyResult(True)

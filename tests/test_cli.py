@@ -119,6 +119,23 @@ def test_verify_document_without_cover(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_verify_rejects_cap_below_one(tmp_path, capsys, cap):
+    res_file = tmp_path / "alt5.json"
+    assert run(capsys, "sigma", "catalog:Alt(5)", "--out", str(res_file))[0] == 0
+    code, _, err = run(capsys, "verify", "catalog:Alt(5)", str(res_file), "--cap", cap)
+    assert code == 2
+    assert "--cap must be at least 1" in err
+
+
+def test_verify_non_string_generators_are_parse_error(tmp_path, capsys):
+    f = tmp_path / "numbers.json"
+    f.write_text(json.dumps([[1, 2]]))
+    code, _, err = run(capsys, "verify", "catalog:Sym(3)", str(f))
+    assert code == 2
+    assert str(f) in err and "Traceback" not in err
+
+
 def test_elementary_document(capsys):
     code, out, _ = run(capsys, "elementary", "catalog:Sym(4)")
     assert code == 0

@@ -26,8 +26,11 @@ from groupcover import (
 )
 
 from groupcover.cover import DEFAULT_NODE_BUDGET, _Search
+from groupcover.errors import CapExceededError
+from groupcover.perm import parse_cycles
 
 from conftest import brute_of, grp, manifest_upto
+from oracles import reference_verify_cover
 
 
 def _covers_every_row(ins, cols) -> bool:
@@ -395,6 +398,56 @@ def test_verify_rejects_foreign_generator():
     res = verify_cover(G, [[parse_cycles("(1 2 3)", 6)]])  # another degree
     assert not res.ok and res.reason == "generator-outside-group"
     assert res.witness == "subgroup 0: (1 2 3)"
+
+
+def _tampered_covers(G, cover):
+    """The cover itself, and three copies that must be rejected: one
+    subgroup dropped, one generator replaced by a permutation outside G,
+    one subgroup replaced by G's own generators."""
+    mid = len(cover) // 2
+    outside = parse_cycles("(1 2)", G.degree)
+    if G.contains(outside):  # G holds every transposition: leave its degree
+        outside = parse_cycles("(1 2)", G.degree + 1)
+    foreign = [list(gens) for gens in cover]
+    foreign[mid][0] = outside
+    improper = [list(gens) for gens in cover]
+    improper[mid] = [g.cycle_string() for g in G.generators]
+    return {
+        "cover": cover,
+        "dropped": cover[:mid] + cover[mid + 1 :],
+        "foreign": foreign,
+        "improper": improper,
+    }
+
+
+def test_verify_matches_reference():
+    for spec in manifest_upto(1000):
+        G = grp(spec)
+        if G.is_cyclic():
+            continue
+        for name, cover in _tampered_covers(G, sigma(G).cover).items():
+            got = verify_cover(G, cover)
+            assert got == reference_verify_cover(G, cover), (spec, name)
+            assert got.ok == (name == "cover"), (spec, name)
+
+
+def test_verify_edge_cases_match_reference():
+    trivial = PermGroup([], degree=3)
+    for G, cover in [(grp("Alt(5)"), []), (grp("Sym(3)"), [[]]), (trivial, []), (trivial, [[]])]:
+        assert verify_cover(G, cover) == reference_verify_cover(G, cover)
+
+
+def test_verify_builds_no_element_table():
+    base = grp("PSL2(7)")
+    cover = sigma(base).cover
+    G = PermGroup(list(base.generators), degree=base.degree)
+    assert verify_cover(G, cover).ok
+    assert G._table is None
+    res = verify_cover(G, cover[1:])  # a rejection names its witness without one too
+    assert res.reason == "element-uncovered" and G._table is None
+    assert verify_cover(G, cover, cap=G.order()).ok
+    with pytest.raises(CapExceededError):
+        verify_cover(G, cover, cap=G.order() - 1)
 
 
 def test_forced_columns_appear_in_every_optimal_cover():

@@ -67,6 +67,41 @@ def test_parse_errors():
             parse_cycles(bad, 5)
 
 
+@pytest.mark.parametrize(
+    "text, error, message, token",
+    [
+        ("(1 6)", PointOutOfRangeError, "point 6 out of range 1..5", "6"),
+        ("(0 1)", PointOutOfRangeError, "point 0 out of range 1..5", "0"),
+        ("(1 2)(2 3)", RepeatedPointError, "point 2 repeated", "2"),
+        ("(1 1)", RepeatedPointError, "point 1 repeated", "1"),
+        ("(1 2", CycleSyntaxError, "unclosed '(' in cycle notation", "("),
+        ("1 2)", CycleSyntaxError, "point 1 outside any cycle", "1"),
+        ("(1 x)", CycleSyntaxError, "unexpected token 'x'", "x"),
+        ("(1 2))", CycleSyntaxError, "unmatched ')' in cycle notation", ")"),
+        ("(1 2)a", CycleSyntaxError, "unexpected token 'a'", "a"),
+        ("((1 2))", CycleSyntaxError, "nested '(' in cycle notation", "("),
+    ],
+)
+def test_parse_error_details(text, error, message, token):
+    # the exact class, message and offending token of each parse failure
+    with pytest.raises(ParseError) as info:
+        parse_cycles(text, 5)
+    assert type(info.value) is error
+    assert str(info.value) == message
+    assert info.value.token == token
+
+
+def test_parse_rejects_digits_int_cannot_read():
+    # a superscript digit is a digit to str.isdigit but not to int()
+    with pytest.raises(CycleSyntaxError, match="unexpected token '²'"):
+        parse_cycles("(1 ²)", 5)
+
+
+def test_parse_skips_whitespace():
+    p = parse_cycles(" ( 1\t2 ,3 )\n(4  5) ", 5)
+    assert p == parse_cycles("(1 2 3)(4 5)", 5)
+
+
 def test_composition_is_left_to_right():
     a = parse_cycles("(1 2)", 3)
     b = parse_cycles("(2 3)", 3)
