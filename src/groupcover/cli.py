@@ -93,13 +93,16 @@ def _options(args) -> SigmaOptions:
         raise ParseError("--node-budget must be at least 1")
     if args.join_budget < 1:
         raise ParseError("--join-budget must be at least 1")
+    limit = getattr(args, "limit", SigmaOptions.enumerate_limit)
+    if limit < 1:
+        raise ParseError("--limit must be at least 1")
     return SigmaOptions(
         cap=args.cap,
         node_budget=args.node_budget,
         join_budget=args.join_budget,
         sigma_forcing=getattr(args, "sigma_forcing", False),
         enumerate_all=getattr(args, "enumerate_all", False),
-        enumerate_limit=getattr(args, "limit", SigmaOptions.enumerate_limit),
+        enumerate_limit=limit,
     )
 
 

@@ -15,11 +15,12 @@ cover, and with it its whole conjugacy class when it is not normal.
 
 The incidence is held once, as Python int bitsets built once per
 instance: each column's rows and each row's columns, and per element order
-the columns by count.  Reduction, the greedy upper bound and the search all
-read it.  A search node holds its rows' counts of available columns as bit
-planes, so it costs a few int operations plus its counting bound's walk
-down the columns, largest first, which stops at the first column that
-meets the bound's threshold.  σ(G/N) is a search of G's own instance from
+the columns in tiers of equal count.  Reduction, the greedy upper bound and
+the search all read it.  A search node holds its rows' counts of available
+columns as bit planes, and the columns its parent found large enough, with
+their counts there, as bounds on their counts here; so a node costs a few
+int operations plus a walk over the few columns whose bounds meet its
+counting bound's threshold.  σ(G/N) is a search of G's own instance from
 the columns that contain N.
 """
 
@@ -134,22 +135,21 @@ class CoverInstance:
                 "some maximal cyclic subgroup lies in no maximal subgroup"
             )
         self.col_elem_bits = [M.bits for M in cols]
-        # every column with its row count, largest first, for the search's
-        # counting-bound threshold test
-        self.cols_by_size = sorted(
-            ((r.bit_count(), j) for j, r in enumerate(self.col_rows)), reverse=True
-        )
         # per element order k: each column's count of order-k elements, the
-        # columns by descending count (lowest index first on ties), and the
-        # mask of columns holding at least one
+        # (count, mask of the columns holding that many) tiers of every
+        # nonzero count, largest first, and the mask of columns holding one
         self.order_counts: dict[int, list[int]] = {}
-        self.order_by_count: dict[int, list[int]] = {}
+        self.order_tiers: dict[int, list[tuple[int, int]]] = {}
         self.order_cols: dict[int, int] = {}
         for k, bits in self.order_bits.items():
             counts = [(bits & mb).bit_count() for mb in self.col_elem_bits]
+            tiers: dict[int, int] = {}
+            for j, n in enumerate(counts):
+                if n:
+                    tiers[n] = tiers.get(n, 0) | 1 << j
             self.order_counts[k] = counts
-            self.order_by_count[k] = sorted(range(len(cols)), key=lambda j: -counts[j])
-            self.order_cols[k] = sum(1 << j for j, n in enumerate(counts) if n)
+            self.order_tiers[k] = sorted(tiers.items(), reverse=True)
+            self.order_cols[k] = sum(tiers.values())
         self.forced: list[int] = []
         self.certificates: list[Certificate] = []
 
@@ -173,12 +173,10 @@ class CoverInstance:
             missing = (bits & uncovered).bit_count()
             if missing == 0:
                 continue
-            m = 0
-            for j in self.order_by_count[k]:
-                if avail >> j & 1:
-                    m = self.order_counts[k][j]
+            for m, cols in self.order_tiers[k]:
+                if cols & avail:
                     break
-            if m == 0:
+            else:
                 return None
             per_k.append((-(missing // -m), k))
         per_k.sort(key=lambda t: (-t[0], t[1]))
@@ -208,6 +206,18 @@ def _bit_indices(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _column_counts(col_rows: list[int], uncov: int, cols, floor: int) -> list:
+    """Each column of ``cols`` that holds at least ``floor`` of the rows in
+    ``uncov``, as (count, column) pairs, largest count first."""
+    out = []
+    for c in cols:
+        n = (col_rows[c] & uncov).bit_count()
+        if n >= floor:
+            out.append((n, c))
+    out.sort(reverse=True)
+    return out
 
 
 def build_instance(
@@ -368,9 +378,21 @@ class _Search:
     ripples up the planes; a branch subtracts its column's rows with a
     borrow likewise.  The rows held by at least one, two and three
     available columns, and the first row of fewest, are a few int
-    operations on the planes.  The one walk over the columns left in a node
-    is its counting bound's, largest column first, which stops at the first
-    column that meets the bound's threshold or falls below it.
+    operations on the planes.
+
+    The counting bound prunes a node when no available column holds
+    t = ⌈u/r⌉ of its u uncovered rows, r the columns it may still add.  A
+    node's bounds list ``(floor, entries)`` holds every available column
+    whose count of uncovered rows was at least ``floor`` where the list was
+    made, with that count, largest first.  Uncovered rows and available
+    columns only shrink down the tree, so those counts bound the node's own
+    from above, and a test of t ≥ floor walks only the entries of count at
+    least t; a t below the floor, which in-node forcing can bring, remakes
+    the list from every available column.  A branching node hands its
+    children one list, made with the least t any child's first test can
+    ask for: ⌈(u − g)/(r − 1)⌉, g the largest gain among the pivot's
+    columns.  It runs each child's first test itself, and spends a node on
+    a child that this test prunes without calling it.
 
     By default the search starts from every column, the forced ones
     chosen; given an int column mask ``cols`` (for σ(G/N), the columns that
@@ -402,6 +424,8 @@ class _Search:
             )
 
     def _start_state(self):
+        """The root's covered rows, covered elements, available columns,
+        chosen columns and bounds list."""
         ins = self.ins
         avail = (1 << len(ins.cols)) - 1 if self.cols is None else self.cols
         chosen = list(ins.forced) if self.cols is None else []
@@ -410,7 +434,9 @@ class _Search:
         for j in chosen:
             covered |= ins.col_rows[j]
             elems |= ins.col_elem_bits[j]
-        return covered, elems, avail, chosen
+        uncov = self.all_rows ^ covered
+        bounds = (1, _column_counts(ins.col_rows, uncov, _bit_indices(avail), 1))
+        return covered, elems, avail, chosen, bounds
 
     def _planes(self, avail: int) -> list[int]:
         """Every row's count of the columns in ``avail``, as bit planes."""
@@ -427,19 +453,42 @@ class _Search:
                 p += 1
         return planes
 
-    def _reaches(self, uncov: int, avail: int, t: int) -> bool:
-        """Whether some available column holds at least ``t`` of the rows in
-        ``uncov``."""
-        col_rows = self.ins.col_rows
-        for size, c in self.ins.cols_by_size:
-            if size < t:
-                return False
-            if avail >> c & 1 and (col_rows[c] & uncov).bit_count() >= t:
-                return True
-        return False
+    def _counted(self, bounds, uncov: int, avail: int, r: int):
+        """The bounds list to keep, or None when the counting bound prunes:
+        ⌈u/most⌉ exceeds ``r``, the columns still allowed, exactly when no
+        column of ``avail`` holds t = ⌈u/r⌉ of the u rows in ``uncov``.
 
-    def _dfs(self, covered_rows, covered_elems, avail, planes, chosen):
+        ``bounds`` must list every column of ``avail`` that can hold
+        ``floor`` of those rows, with a count at least its own; a t below
+        ``floor`` remakes it from every column of ``avail``."""
+        if not uncov:
+            return bounds
+        if r < 1:
+            return None
+        t = -(uncov.bit_count() // -r)
+        col_rows = self.ins.col_rows
+        if t < bounds[0]:
+            bounds = (t, _column_counts(col_rows, uncov, _bit_indices(avail), t))
+        for n, c in bounds[1]:
+            if n < t:
+                return None
+            if avail >> c & 1 and (col_rows[c] & uncov).bit_count() >= t:
+                return bounds
+        return None
+
+    def _enter(self, covered_rows, covered_elems, avail, chosen, bounds):
+        """Spend the root node and search it unless its counting bound
+        prunes it."""
         self._spend_node()
+        uncov = self.all_rows ^ covered_rows
+        bounds = self._counted(bounds, uncov, avail, self.allow - len(chosen))
+        if bounds is not None:
+            planes = self._planes(avail)
+            self._dfs(covered_rows, covered_elems, avail, planes, chosen, bounds)
+
+    def _dfs(self, covered_rows, covered_elems, avail, planes, chosen, bounds):
+        """Search a node whose caller has spent it and found its counting
+        bound met."""
         ins = self.ins
         col_rows, row_cols = ins.col_rows, ins.row_cols
         high = 0
@@ -449,21 +498,15 @@ class _Search:
         held2 = planes[1] | high
         held3 = planes[0] & planes[1] | high
         # in-node forcing: rows with a single available column
+        uncov = self.all_rows ^ covered_rows
         while True:
-            uncov = self.all_rows ^ covered_rows
             if not uncov:
                 self._record(chosen)
                 return
             if uncov & ~held1:  # a row in no available column
                 return
-            # prune when ⌈u/most⌉ or the residual bound exceeds r, the
-            # columns still allowed; ⌈u/most⌉ > r exactly when no available
-            # column holds ⌈u/r⌉ of the u uncovered rows
-            r = self.allow - len(chosen)
-            if r < 1 or not self._reaches(uncov, avail, -(uncov.bit_count() // -r)):
-                return
             lb = ins.residual_lower_bound(covered_elems, avail)
-            if lb is None or lb > r:
+            if lb is None or len(chosen) + lb > self.allow:
                 return
             ones = uncov & ~held2
             if not ones:
@@ -481,6 +524,10 @@ class _Search:
                 chosen.append(c)
                 covered_rows |= col_rows[c]
                 covered_elems |= ins.col_elem_bits[c]
+            uncov = self.all_rows ^ covered_rows
+            bounds = self._counted(bounds, uncov, avail, self.allow - len(chosen))
+            if bounds is None:
+                return
         # branch on the first uncovered row with fewest available columns:
         # a row held by exactly two, else the bit-sliced minimum count
         pairs = uncov & held2 & ~held3
@@ -492,27 +539,47 @@ class _Search:
                 if least & ~plane:
                     least &= ~plane
             pivot = (least & -least).bit_length() - 1
+        # (−gain, column): most uncovered rows first, lowest index on ties
         cands = sorted(
-            _bit_indices(row_cols[pivot] & avail),
-            key=lambda c: (-(col_rows[c] & uncov).bit_count(), c),
+            (-(col_rows[c] & uncov).bit_count(), c)
+            for c in _bit_indices(row_cols[pivot] & avail)
         )
-        for c in cands:
+        r = self.allow - len(chosen)
+        if r > 1:
+            # a child covers at most g rows and may add r − 1 columns, so
+            # its first test asks for at least ⌈(u − g)/(r − 1)⌉
+            g = -cands[0][0]
+            floor = max(1, -((g - uncov.bit_count()) // (r - 1)))
+            if floor < bounds[0]:
+                pool = _bit_indices(avail)
+            else:
+                pool = [c for n, c in bounds[1] if n >= floor and avail >> c & 1]
+            bounds = (floor, _column_counts(col_rows, uncov, pool, floor))
+        # one copy per node: a child reads it only until it returns
+        planes = planes.copy()
+        for _, c in cands:
             if len(chosen) + 1 > self.allow:
                 break
             avail &= ~(1 << c)  # c is decided here; later branches avoid it
-            rows, planes = col_rows[c], planes.copy()
+            rows = col_rows[c]
             p = 0
             while rows:  # one off the count of each row of c
                 plane = planes[p]
                 planes[p] = plane ^ rows
                 rows &= ~plane
                 p += 1
+            self._spend_node()
+            # the child's first counting-bound test
+            rest, r = uncov & ~col_rows[c], self.allow - len(chosen) - 1
+            if self._counted(bounds, rest, avail, r) is None:
+                continue
             self._dfs(
                 covered_rows | col_rows[c],
                 covered_elems | ins.col_elem_bits[c],
                 avail,
                 planes,
                 chosen + [c],
+                bounds,
             )
             if self.solutions is not None and len(self.solutions) > self.solution_limit:
                 return
@@ -532,12 +599,10 @@ class _Search:
         ins = self.ins
         incumbent = greedy_upper_bound(ins, self.cols)
         self.best = incumbent
-        covered, elems, avail, chosen = self._start_state()
+        covered, elems, avail, chosen, bounds = self._start_state()
         uncov = self.all_rows ^ covered
         lb0 = ins.residual_lower_bound(elems, avail)
-        most = max(
-            (r & uncov).bit_count() for c, r in enumerate(ins.col_rows) if avail >> c & 1
-        )
+        most = bounds[1][0][0] if bounds[1] else 0
         if lb0 is None or uncov and not most:
             raise InvariantError("instance admits no cover at the root")
         self.root_lb = len(chosen)
@@ -545,15 +610,14 @@ class _Search:
             self.root_lb += max(lb0, -(uncov.bit_count() // -most), 1)
         self.allow = len(self.best) - 1
         if self.root_lb <= self.allow:
-            self._dfs(covered, elems, avail, self._planes(avail), chosen)
+            self._enter(covered, elems, avail, chosen, bounds)
         return len(self.best), self.best, self.root_lb
 
     def enumerate(self, sigma: int, limit: int) -> tuple[object, list[tuple[int, ...]], bool]:
         self.solutions = []
         self.solution_limit = limit
         self.allow = sigma
-        covered, elems, avail, chosen = self._start_state()
-        self._dfs(covered, elems, avail, self._planes(avail), chosen)
+        self._enter(*self._start_state())
         sols = sorted(set(self.solutions))
         if len(sols) > limit:
             return f">={limit + 1}", sols[:limit], False

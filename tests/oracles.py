@@ -8,7 +8,8 @@ cover search over ALL proper subgroups (not only maximal ones) — so that
 agreement with the package is meaningful evidence, not a shared bug.
 
 The exceptions are :class:`ReferenceSearch`, the package's cover search
-before it kept its rows' column counts as bit planes, and
+before it kept its rows' column counts as bit planes, with the residual
+lower bound as it was before it read per-order count tiers, and
 :func:`reference_verify_cover`, the cover check before it ran on G's
 stabilizer chain alone.  Both run on the package's own objects, because
 what they check is that the faster code gives the same results: the same
@@ -311,7 +312,9 @@ class ReferenceSearch:
     largest column.
 
     The same interface as ``groupcover.cover._Search``: ``solve()`` and
-    ``enumerate(sigma, limit)``, and ``nodes`` afterwards.
+    ``enumerate(sigma, limit)``, and ``nodes`` afterwards.  Its residual
+    lower bound is its own: per element order it walks the columns by
+    descending count, derived here from the instance's ``order_counts``.
     """
 
     def __init__(self, instance: CoverInstance, node_budget: int, cols: int | None = None):
@@ -325,6 +328,13 @@ class ReferenceSearch:
         self.solution_limit = 0
         self.root_lb = 0
         self.all_rows = (1 << len(instance.rows)) - 1
+        # per element order k: the columns by descending count (lowest
+        # index first on ties), and the mask of columns holding at least one
+        self.order_by_count: dict[int, list[int]] = {}
+        self.order_cols: dict[int, int] = {}
+        for k, counts in instance.order_counts.items():
+            self.order_by_count[k] = sorted(range(len(counts)), key=lambda j: -counts[j])
+            self.order_cols[k] = sum(1 << j for j, n in enumerate(counts) if n)
 
     # ----- shared machinery
 
@@ -348,6 +358,38 @@ class ReferenceSearch:
             covered |= ins.col_rows[j]
             elems |= ins.col_elem_bits[j]
         return covered, elems, avail, range(len(ins.cols)), chosen
+
+    def residual_lower_bound(self, covered_elems: int, avail: int):
+        """A lower bound on how many more columns any completion needs.
+
+        ``avail`` is the int mask of the available columns.  Counting bounds
+        per element order, summed over a greedy family of orders whose
+        available covering columns are pairwise disjoint.  Returns None when
+        some order has uncovered elements but no available column at all.
+        """
+        uncovered = self.ins.full_elem_mask ^ covered_elems
+        per_k = []
+        for k, bits in self.ins.order_bits.items():
+            missing = (bits & uncovered).bit_count()
+            if missing == 0:
+                continue
+            m = 0
+            for j in self.order_by_count[k]:
+                if avail >> j & 1:
+                    m = self.ins.order_counts[k][j]
+                    break
+            if m == 0:
+                return None
+            per_k.append((-(missing // -m), k))
+        per_k.sort(key=lambda t: (-t[0], t[1]))
+        used = 0
+        total = 0
+        for bound, k in per_k:
+            colset = self.order_cols[k] & avail
+            if not colset & used:
+                total += bound
+                used |= colset
+        return total
 
     def _scan(self, uncov: int, avail: int, live):
         """One pass over the available columns in ``live``: the uncovered
@@ -374,7 +416,7 @@ class ReferenceSearch:
         return one, two, three, most, held
 
     def _lower(self, covered_elems: int, avail: int, uncov: int, most: int):
-        lb = self.ins.residual_lower_bound(covered_elems, avail)
+        lb = self.residual_lower_bound(covered_elems, avail)
         if lb is None or not uncov:
             return lb
         if most == 0:

@@ -174,6 +174,9 @@ def test_parse_failures_exit_2(capsys):
     assert run(capsys, "table", "--cap", "0")[0] == 2
     assert run(capsys, "table", "--node-budget", "0")[0] == 2
     assert run(capsys, "sigma", "catalog:M11", "--join-budget", "0")[0] == 2
+    for limit in ["0", "-1"]:
+        code, _, err = run(capsys, "sigma", "catalog:Alt(5)", "--enumerate-all", "--limit", limit)
+        assert code == 2 and "--limit must be at least 1" in err
 
 
 def test_cap_exhaustion_exits_3(capsys):

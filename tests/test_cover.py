@@ -5,6 +5,7 @@ from __future__ import annotations
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from groupcover import (
     BudgetExhaustedError,
@@ -326,6 +327,88 @@ def test_search_matches_the_reference_search():
         assert (new.enumerate(value, 1000), new.nodes) == (
             ref.enumerate(value, 1000), ref.nodes
         ), spec
+
+
+def _outcome(search, call):
+    """What a search call gives, or the interval its budget exhaustion
+    reports, with the nodes spent either way."""
+    try:
+        return call(search), search.nodes
+    except BudgetExhaustedError as err:
+        return (type(err), err.lower, err.upper), search.nodes
+
+
+def test_budget_runs_out_at_the_reference_search_node():
+    """Children that the parent's counting test prunes are spent but not
+    called, so a node budget runs out at the same node as in the reference
+    search, with the same interval: solve from each mask of the matching
+    test above, and enumerate on each full instance, at budgets 1, n/2 and
+    n − 1 for n the reference's nodes."""
+    from oracles import ReferenceSearch
+
+    for spec in manifest_upto(2000):
+        G = grp(spec)
+        if G.is_cyclic():
+            continue
+        ins = reduce_instance(build_instance(G))
+        masks = [None] + [cols for _, cols in _quotient_masks(ins)]
+        runs = [(cols, lambda s: s.solve()) for cols in masks]
+        runs.append((None, lambda s: s.enumerate(value, 1000)))
+        for i, (cols, call) in enumerate(runs):
+            # the matching test above pins n to the reference's node count
+            result, n = _outcome(_Search(ins, DEFAULT_NODE_BUDGET, cols), call)
+            if i == 0:  # the full instance's σ, which the last run enumerates at
+                value = result[0]
+            for budget in sorted({1, n // 2, n - 1} - {0}):
+                got = _outcome(_Search(ins, budget, cols), call)
+                want = _outcome(ReferenceSearch(ins, budget, cols), call)
+                assert got == want, (spec, cols, budget)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(spec=st.sampled_from(["Alt(6)", "Sym(5)", "ASL3(2)"]), data=st.data())
+def test_count_tiers_and_handed_down_bounds_answer_exactly(spec, data):
+    """On random search states: the residual bound read off the count tiers
+    equals the reference's walk down the columns, and the counting-bound
+    test, given a bounds list made at any state above, answers whether some
+    available column holds t = ⌈u/r⌉ of the u uncovered rows."""
+    from oracles import ReferenceSearch
+
+    from groupcover.cover import _bit_indices, _column_counts
+
+    ins = build_instance(grp(spec))
+    col_rows = ins.col_rows
+
+    def mask(bits, label):
+        return data.draw(st.integers(0, (1 << bits) - 1), label=label)
+
+    def counts(uncov, avail):
+        return [(col_rows[c] & uncov).bit_count() for c in _bit_indices(avail)]
+
+    elems = mask(ins.table.n, "covered elements") | 1 << ins.table.identity_id
+    avail = mask(len(ins.cols), "available columns")
+    assert ins.residual_lower_bound(elems, avail) == ReferenceSearch(
+        ins, DEFAULT_NODE_BUDGET
+    ).residual_lower_bound(elems, avail)
+
+    # the state the bounds list was made at, then a state below it
+    uncov_above = mask(len(ins.rows), "uncovered rows above")
+    most = max(counts(uncov_above, avail), default=0)
+    floor = data.draw(st.integers(1, most + 1), label="floor")
+    bounds = (floor, _column_counts(col_rows, uncov_above, _bit_indices(avail), floor))
+    uncov = uncov_above & mask(len(ins.rows), "rows kept")
+    avail &= mask(len(ins.cols), "columns kept")
+    u = uncov.bit_count()
+    r = data.draw(st.integers(0, max(u, 1)), label="columns allowed")
+    kept = _Search(ins, DEFAULT_NODE_BUDGET)._counted(bounds, uncov, avail, r)
+    met = u == 0 or r >= 1 and max(counts(uncov, avail), default=0) >= -(u // -r)
+    assert (kept is not None) == met
+    if kept is not None:
+        # what it keeps still bounds every column that can reach its floor
+        listed = dict((c, n) for n, c in kept[1])
+        for c in _bit_indices(avail):
+            n = (col_rows[c] & uncov).bit_count()
+            assert n < kept[0] or listed.get(c, -1) >= n
 
 
 def test_enumerate_alt5_optimal_covers():
