@@ -412,6 +412,8 @@ def parse_spec(text: str) -> GroupSpec:
     if name == "PSL2":
         if len(args) != 1:
             raise SpecError(f"PSL2 takes one argument, got {spec.canonical()!r}")
+        if spec.ext is not None and spec.ext < 1:
+            raise SpecError(f"PSL2(q):k needs k >= 1, got {spec.canonical()!r}")
         return spec
     if spec.ext is not None:
         raise SpecError(f"':k' extension only applies to PSL2, got {spec.canonical()!r}")

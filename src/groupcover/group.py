@@ -275,39 +275,11 @@ class ElementTable:
         except (KeyError, IndexError):  # IndexError: a point out of range
             return None
 
-    def id_of_perm(self, p: Permutation) -> int | None:
-        return self.id_of_row(np.array(p.zero))
-
     def generator_ids(self) -> list[int]:
         """IDs of the group's own generators, in their order."""
         gens = [g.zero for g in self.group.generators]
         mat = np.array(gens, dtype=self.rows.dtype).reshape(len(gens), self.degree)
         return self.lookup_rows(mat).tolist()
-
-    def mul(self, a: int, b: int) -> int:
-        """ID of the product: apply a, then b."""
-        return int(self.mul_many([a], b)[0])
-
-    def mul_many(self, ids: np.ndarray, b: int) -> np.ndarray:
-        """Apply each of ids, then b."""
-        return self.lookup_rows(self.rows[b][self.rows[ids]])
-
-    def lmul_many(self, a: int, ids: np.ndarray) -> np.ndarray:
-        """Apply a, then each of ids."""
-        return self.lookup_rows(self.rows[ids][:, self.rows[a]])
-
-    def conj_rows(self, ids: np.ndarray, g: int) -> np.ndarray:
-        """IDs of g^-1 x g for each x in ids."""
-        ginv = self.rows[self.inverse[g]]
-        mid = self.rows[ids][:, ginv]
-        return self.lookup_rows(self.rows[g][mid])
-
-    def power(self, a: int, k: int) -> int:
-        if k < 0:
-            a, k = int(self.inverse[a]), -k
-        if k == 0:
-            return self.identity_id
-        return int(self.lookup_rows(power_rows(self.rows[[a]], k))[0])
 
     def conj_by_gen(self) -> np.ndarray:
         """Row k: the conjugation table x -> g^-1 x g of generator g = g_k."""
@@ -362,8 +334,8 @@ class ElementTable:
         return word
 
     def lmul(self, h: int, ids: np.ndarray) -> np.ndarray:
-        """``lmul_many`` by table gathers along h's word: for h = a_1 ... a_m,
-        h x = (x^-1 a_m^-1 ... a_1^-1)^-1."""
+        """IDs of h x (apply h, then x) for each x in ids, by table gathers
+        along h's word: for h = a_1 ... a_m, h x = (x^-1 a_m^-1 ... a_1^-1)^-1."""
         k = len(self._rmul) // 2
         out = self.inverse[ids]
         for a in reversed(self.word(h)):
@@ -371,8 +343,9 @@ class ElementTable:
         return self.inverse[out]
 
     def conj(self, ids: np.ndarray, h: int) -> np.ndarray:
-        """``conj_rows`` by table gathers along h's word: for h = a_1 ... a_m,
-        conjugation by h is conjugation by a_1, then by a_2, and so on."""
+        """IDs of h^-1 x h for each x in ids, by table gathers along h's
+        word: for h = a_1 ... a_m, conjugation by h is conjugation by a_1,
+        then by a_2, and so on."""
         out = ids
         for a in self.word(h):
             out = self._conj[a][out]

@@ -38,9 +38,6 @@ class SubgroupSet:
         "table",
         "bits",
         "gen_ids",
-        "is_normal",
-        "is_maximal",
-        "is_cyclic",
         "_order",
         "_ids",
         "_key",
@@ -50,9 +47,6 @@ class SubgroupSet:
         self.table = table
         self.bits = bits
         self.gen_ids = gen_ids
-        self.is_normal: bool | None = None
-        self.is_maximal: bool | None = None
-        self.is_cyclic: bool | None = None
         self._order: int | None = None
         self._ids: np.ndarray | None = None
         self._key: bytes | None = None
@@ -136,9 +130,4 @@ class SubgroupSet:
         return hash(self.bits)
 
     def __repr__(self) -> str:
-        flags = "".join(
-            c
-            for c, f in (("N", self.is_normal), ("M", self.is_maximal), ("C", self.is_cyclic))
-            if f
-        )
-        return f"SubgroupSet(order={self.order}{', ' + flags if flags else ''})"
+        return f"SubgroupSet(order={self.order})"

@@ -73,8 +73,7 @@ from .group import (
     power_rows,
     prime_factors,
 )
-from .perm import Permutation
-from .subgroup import SubgroupSet, bits_from_ids
+from .subgroup import SubgroupSet
 
 DEFAULT_JOIN_BUDGET = 10**7
 _RECORDED_ROWS = 64  # key rows the worklist starts with; it doubles them as needed
@@ -198,11 +197,7 @@ class SubgroupLattice:
         for c in sorted(range(len(reps)), key=rep_orders.tolist().__getitem__):
             for d in below[c]:
                 bits[c] |= bits[d]
-        raw = []
-        for c, g in enumerate(reps.tolist()):
-            S = SubgroupSet(T, bits[c], gen_ids=[g])
-            S.is_cyclic = True
-            raw.append(S)
+        raw = [SubgroupSet(T, bits[c], gen_ids=[g]) for c, g in enumerate(reps.tolist())]
         order = sorted(range(len(raw)), key=lambda i: raw[i].key)
         rank = np.empty(len(raw), dtype=np.int32)
         rank[order] = np.arange(len(raw), dtype=np.int32)
@@ -220,23 +215,6 @@ class SubgroupLattice:
         return self._maximal_cyclic
 
     # -- conjugacy ----------------------------------------------------------
-
-    def conjugates(self, S: SubgroupSet) -> list[SubgroupSet]:
-        """The full conjugacy orbit of a subgroup, sorted by key, with S
-        itself in it; each other member records S's generators conjugated
-        along the way :meth:`_orbit` found it."""
-        keys, gens, at = self._orbit(S)
-        out = []
-        for r in range(len(keys)):
-            if r == at:
-                out.append(S)
-                continue
-            C = SubgroupSet.from_key(
-                self.table, keys[r].tobytes(), gen_ids=gens[r].tolist()
-            )
-            C.is_cyclic = S.is_cyclic
-            out.append(C)
-        return out
 
     def _orbit(self, S: SubgroupSet) -> tuple[np.ndarray, np.ndarray, int]:
         """S's conjugacy orbit as packed key rows in key order, a row of
@@ -277,14 +255,6 @@ class SubgroupLattice:
         as_bytes = keys.view(np.dtype((np.void, keys.shape[1]))).ravel().tolist()
         order = sorted(range(len(keys)), key=as_bytes.__getitem__)
         return keys[order], rows[order, size:], order.index(0)
-
-    def is_normal(self, S: SubgroupSet) -> bool:
-        if S.is_normal is None:
-            T = self.table
-            S.is_normal = all(
-                bits_from_ids(ct[S.ids]) == S.bits for ct in T.conj_by_gen()
-            )
-        return S.is_normal
 
     # -- maximal subgroups via ascending join-closure -----------------------
 
@@ -330,7 +300,7 @@ class SubgroupLattice:
             trivial = SubgroupSet(T, 1 << T.identity_id, gen_ids=[])
             key = np.frombuffer(trivial.key, dtype=np.uint8)[None]
             alone = rec.append(key, np.empty((1, 0), dtype=np.int32), 1, cyclic=True)
-            alone.adopt(trivial, 0)
+            alone.built[0] = trivial
             # The cyclic subgroups seed the worklist, one conjugacy class
             # each; a conjugate of ⟨g⟩ is ⟨g'⟩ for the conjugate g' of g.
             cyclics = self.cyclic_subgroups()
@@ -338,7 +308,7 @@ class SubgroupLattice:
             for c, S in enumerate(cyclics):
                 if recorded[c] or S.is_trivial_subgroup() or S.is_whole_group():
                     continue
-                orbit = self._record(S, queue)
+                orbit = self._record(S, queue, cyclic=True)
                 recorded[self._elem_to_cyclic[orbit.gens[:, 0]]] = True
             while queue:
                 _, _, i = heapq.heappop(queue)
@@ -346,19 +316,19 @@ class SubgroupLattice:
             if not any(o.maximal for o in rec.orbits):
                 # No proper non-trivial subgroup at all: |G| is prime and
                 # the trivial subgroup is the unique maximal subgroup.
-                alone.maximal = trivial.is_maximal = True
+                alone.maximal = True
         self._maximal = self._members(
             r for o in rec.orbits if o.maximal for r in range(o.start, o.stop)
         )
 
-    def _record(self, S: SubgroupSet, queue: list) -> "_Orbit":
+    def _record(self, S: SubgroupSet, queue: list, cyclic: bool) -> "_Orbit":
         """Record the conjugacy orbit of S, which is not recorded yet, and
         enqueue it by its representative, the member of least key.  S stays
         the object of its own row."""
         rec = self._recorded
         keys, gens, at = self._orbit(S)
-        orbit = rec.append(keys, gens, S.order, cyclic=bool(S.is_cyclic))
-        orbit.adopt(S, orbit.start + at)
+        orbit = rec.append(keys, gens, S.order, cyclic)
+        orbit.built[orbit.start + at] = S
         rep = rec.keys[orbit.start].tobytes()
         heapq.heappush(queue, (S.order, rep, len(rec.orbits) - 1))
         return orbit
@@ -373,7 +343,7 @@ class SubgroupLattice:
                 self.table, rec.keys[r].tobytes(),
                 gen_ids=orbit.gens[r - orbit.start].tolist(),
             )
-            orbit.adopt(S, r)
+            orbit.built[r] = S
         return S
 
     def _process_class(self, orbit: "_Orbit", queue: list) -> None:
@@ -425,11 +395,9 @@ class SubgroupLattice:
                 # that builds its subgroup
                 if rec.holds(J):
                     raise InvariantError("a materialised join was recorded already")
-                new = self._record(J, queue)
+                new = self._record(J, queue, cyclic=False)
                 over.add(new.start, new.stop, j + 1)
         orbit.maximal = all_join_full
-        for S in orbit.built.values():
-            S.is_maximal = all_join_full
 
     def _join_answer(
         self,
@@ -529,7 +497,6 @@ class SubgroupLattice:
             self.maximal_subgroups()  # runs the worklist
             T = self.table
             whole = SubgroupSet(T, (1 << T.n) - 1, gen_ids=T.generator_ids())
-            whole.is_normal = True
             normals = self._members(
                 o.start for o in self._recorded.orbits if len(o.gens) == 1
             )
@@ -568,30 +535,6 @@ class SubgroupLattice:
         for M in self.maximal_subgroups():
             bits &= M.bits
         return SubgroupSet(self.table, bits)
-
-    # -- quotients ----------------------------------------------------------
-
-    def quotient(self, N: SubgroupSet) -> PermGroup:
-        """G/N as a permutation group on the right cosets of N, numbered in
-        the order of their least element IDs (``_coset_minima``).  N is
-        looked up among :meth:`normal_subgroups` by its bits: the normality
-        check, and the recorded generators for a bare bit vector."""
-        T = self.table
-        N = next((M for M in self.normal_subgroups() if M.bits == N.bits), None)
-        if N is None:
-            raise ValueError("quotient requires a normal subgroup")
-        coset_min = self._coset_minima(N)
-        reps = np.flatnonzero(coset_min == np.arange(T.n)).astype(np.int32)
-        coset_of = np.searchsorted(reps, coset_min)
-        gens = [
-            Permutation((coset_of[T.mul_many(reps, gid)] + 1).tolist())
-            for gid in T.generator_ids()
-        ]
-        name = f"{self.group.label()}/[order {N.order}]"
-        Q = PermGroup(gens, degree=len(reps), name=name)
-        if Q.order() != T.n // N.order:
-            raise InvariantError("quotient order disagrees with the index")
-        return Q
 
     # -- chief series and complements ---------------------------------------
 
@@ -639,7 +582,10 @@ class SubgroupLattice:
 class _Orbit:
     """One conjugacy class the worklist recorded: rows start..stop of the
     key matrix, in key order, with a row of recorded generator IDs per
-    member."""
+    member.  It holds the lattice's facts about its members: they are
+    normal when it has one member, cyclic when ``cyclic``, and maximal when
+    ``maximal``, which stays None until the class is joined (for the
+    trivial class, which is never joined, unless |G| is prime)."""
 
     start: int
     gens: np.ndarray
@@ -650,13 +596,6 @@ class _Orbit:
     @property
     def stop(self) -> int:
         return self.start + len(self.gens)
-
-    def adopt(self, S: SubgroupSet, r: int) -> None:
-        """Make S the object of row r, flagged as this orbit is."""
-        S.is_normal = len(self.gens) == 1
-        S.is_cyclic = self.cyclic
-        S.is_maximal = self.maximal
-        self.built[r] = S
 
 
 class _Recorded:

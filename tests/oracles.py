@@ -9,11 +9,15 @@ agreement with the package is meaningful evidence, not a shared bug.
 
 The exceptions are :class:`ReferenceSearch`, the package's cover search
 before it kept its rows' column counts as bit planes, with the residual
-lower bound as it was before it read per-order count tiers, and
+lower bound as it was before it read per-order count tiers;
 :func:`reference_verify_cover`, the cover check before it ran on G's
-stabilizer chain alone.  Both run on the package's own objects, because
-what they check is that the faster code gives the same results: the same
-branch-and-bound tree, and the same verdict, reason and witness.
+stabilizer chain alone; :func:`lmul_by_lookup` and :func:`conj_by_lookup`,
+the element table's products before they ran on word tables; and
+:func:`quotient`, G/N as a permutation group on the cosets of N.  They run
+on the package's own objects, because what they check is that the faster
+code gives the same results: the same branch-and-bound tree, the same
+verdict, reason and witness, the same products, and the σ(G/N) the package
+reads off G's own lattice.
 """
 
 from __future__ import annotations
@@ -30,8 +34,8 @@ from groupcover.cover import (
     greedy_upper_bound,
 )
 from groupcover.errors import BudgetExhaustedError, InvariantError
-from groupcover.group import DEFAULT_ELEMENT_CAP, StabilizerChain
-from groupcover.perm import parse_cycles
+from groupcover.group import DEFAULT_ELEMENT_CAP, PermGroup, StabilizerChain
+from groupcover.perm import Permutation, parse_cycles
 from groupcover.subgroup_lattice import _subgroup_from_chain
 
 
@@ -546,3 +550,38 @@ def reference_verify_cover(G, subgroups, cap: int = DEFAULT_ELEMENT_CAP) -> Veri
             witness=T.perm(missing).cycle_string(),
         )
     return VerifyResult(True)
+
+
+def lmul_by_lookup(T, a: int, ids) -> np.ndarray:
+    """IDs of a x (apply a, then x) for each x in ids, by sift lookups of
+    the composed rows."""
+    return T.lookup_rows(T.rows[ids][:, T.rows[a]])
+
+
+def conj_by_lookup(T, ids, g: int) -> np.ndarray:
+    """IDs of g^-1 x g for each x in ids, by sift lookups of the composed
+    rows."""
+    ginv = T.rows[T.inverse[g]]
+    return T.lookup_rows(T.rows[g][T.rows[ids][:, ginv]])
+
+
+def quotient(lat, N) -> PermGroup:
+    """G/N as a permutation group on the right cosets of N, numbered in the
+    order of their least element IDs (the lattice's ``_coset_minima``); each
+    generator g of G moves Nx to Nxg.  N is looked up among the lattice's
+    normal subgroups by its bits: the normality check, and the recorded
+    generators for a bare bit vector."""
+    T = lat.table
+    N = next((M for M in lat.normal_subgroups() if M.bits == N.bits), None)
+    if N is None:
+        raise ValueError("quotient requires a normal subgroup")
+    coset_min = lat._coset_minima(N)
+    reps = np.flatnonzero(coset_min == np.arange(T.n)).astype(np.int32)
+    coset_of = np.searchsorted(reps, coset_min)
+    # row k of _rmul_by_gen: x -> x g for the k-th generator g of G
+    gens = [Permutation((coset_of[xg[reps]] + 1).tolist()) for xg in T._rmul_by_gen]
+    name = f"{lat.group.label()}/[order {N.order}]"
+    Q = PermGroup(gens, degree=len(reps), name=name)
+    if Q.order() != T.n // N.order:
+        raise InvariantError("quotient order disagrees with the index")
+    return Q

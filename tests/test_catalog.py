@@ -119,6 +119,7 @@ def test_spec_errors():
         "Cyclic(-3)",
         "ElemAbelian(4,2)",
         "Dihedral(1)",
+        "PSL2(16):0",
     ]:
         with pytest.raises(SpecError):
             construct(bad)

@@ -563,14 +563,14 @@ def test_infinity_ordering():
 
 def test_sigma_forcing_reads_the_maximal_classes_off_the_lattice(monkeypatch):
     # the worklist recorded every maximal class with its conjugates
-    from groupcover.subgroup_lattice import SubgroupLattice
-
-    def recomputed(self, S):
+    def recomputed(S):
         raise AssertionError("a maximal class was conjugated again")
 
-    monkeypatch.setattr(SubgroupLattice, "conjugates", recomputed)
     base = grp("PGammaL2(8)")
     G = PermGroup(list(base.generators), degree=base.degree)
+    lat = lattice(G)
+    lat.maximal_subgroups()
+    monkeypatch.setattr(lat, "_orbit", recomputed)
     res = sigma(G, SigmaOptions(sigma_forcing=True))
     forced = [c for c in res.certificates if c.kind == "forced-subgroup"]
     assert res.sigma == 29

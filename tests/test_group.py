@@ -14,10 +14,18 @@ from groupcover import (
     construct,
     parse_cycles,
 )
-from groupcover.group import StabilizerChain
+from groupcover.group import StabilizerChain, power_rows
 
 from conftest import grp
-from oracles import o_closure, o_order
+from oracles import (
+    conj_by_lookup,
+    lmul_by_lookup,
+    o_closure,
+    o_compose,
+    o_inverse,
+    o_order,
+    quotient,
+)
 
 
 def test_orders_by_chain():
@@ -100,39 +108,48 @@ def test_element_table_rows_sorted_and_identity_first():
         assert list(T.rows[0]) == list(range(T.degree))
 
 
-def test_element_table_arithmetic_matches_oracle():
+def _sym4_elements():
+    """Sym(4)'s element table, its elements as image tuples by ID, and
+    their IDs."""
     T = grp("Sym(4)").table()
     elems = [tuple(int(x) for x in T.rows[i]) for i in range(T.n)]
-    idx = {e: i for i, e in enumerate(elems)}
-    for a in range(0, T.n, 5):
-        for b in range(0, T.n, 7):
-            ea, eb = elems[a], elems[b]
-            want = idx[tuple(eb[x] for x in ea)]  # apply a, then b
-            assert T.mul(a, b) == want
+    return T, elems, {e: i for i, e in enumerate(elems)}
+
+
+def test_element_table_arithmetic_matches_oracle():
+    T, elems, idx = _sym4_elements()
+    all_ids = np.arange(T.n, dtype=np.int32)
     for a in range(T.n):
+        # lmul: apply a, then each x
+        want = [idx[o_compose(elems[a], e)] for e in elems]
+        assert T.lmul(a, all_ids).tolist() == want
         assert T.orders[a] == o_order(elems[a])
-        assert T.mul(a, int(T.inverse[a])) == T.identity_id
-        assert T.mul(int(T.inverse[a]), a) == T.identity_id
-        assert T.power(a, T.orders[a]) == 0
+        assert T.inverse[a] == idx[o_inverse(elems[a])]
+    powers = list(elems)  # the k-th power of every element, from k = 1
+    for k in range(1, 13):
+        assert T.lookup_rows(power_rows(T.rows, k)).tolist() == [idx[p] for p in powers]
+        powers = [o_compose(p, e) for p, e in zip(powers, elems)]
 
 
 def test_element_table_conjugation():
-    T = grp("Sym(4)").table()
-    for x in [1, 5, 11]:
-        for g in [2, 7, 20]:
-            # conj_rows gives g^-1 * x * g in left-to-right composition
-            ginv = T.power(g, T.orders[g] - 1)
-            xg = int(T.conj_rows([x], g)[0])
-            assert xg == T.mul(T.mul(ginv, x), g)
-            assert T.orders[xg] == T.orders[x]
+    T, elems, idx = _sym4_elements()
+    all_ids = np.arange(T.n, dtype=np.int32)
+    for g in range(T.n):
+        # conj gives g^-1 * x * g in left-to-right composition
+        ginv = o_inverse(elems[g])
+        want = [idx[o_compose(o_compose(ginv, e), elems[g])] for e in elems]
+        assert T.conj(all_ids, g).tolist() == want
+        assert (T.orders[want] == T.orders).all()
 
 
 def _right_regular(spec: str) -> PermGroup:
     """The catalog group acting on its own element IDs by right
     multiplication."""
     T = grp(spec).table()
-    all_ids = np.arange(T.n, dtype=np.int32)
-    gens = [Permutation((T.mul_many(all_ids, g) + 1).tolist()) for g in T.generator_ids()]
+    gens = [
+        Permutation((T.lookup_rows(T.rows[g][T.rows]) + 1).tolist())
+        for g in T.generator_ids()
+    ]
     return PermGroup(gens, degree=T.n)
 
 
@@ -144,10 +161,10 @@ def test_word_gathers_match_the_sift_lookups(spec):
     T = G.table()
     all_ids = np.arange(T.n, dtype=np.int32)
     for h in np.random.default_rng(17).integers(T.n, size=20).tolist():
-        assert np.array_equal(T.lmul(h, all_ids), T.lmul_many(h, all_ids))
-        assert np.array_equal(T.conj(all_ids, h), T.conj_rows(all_ids, h))
+        assert np.array_equal(T.lmul(h, all_ids), lmul_by_lookup(T, h, all_ids))
+        assert np.array_equal(T.conj(all_ids, h), conj_by_lookup(T, all_ids, h))
     for k, g in enumerate(T.generator_ids()):
-        assert np.array_equal(T.conj_by_gen()[k], T.conj_rows(all_ids, g))
+        assert np.array_equal(T.conj_by_gen()[k], conj_by_lookup(T, all_ids, g))
     assert T.word(T.identity_id) == []
 
 
@@ -163,7 +180,7 @@ def test_lookup_rows_round_trip_small_and_wide_degree():
     lat = lattice(G)
     soc = [N for N in lat.normal_subgroups() if N.order == 8]
     assert len(soc) == 1
-    Q = lat.quotient(soc[0])
+    Q = quotient(lat, soc[0])
     assert Q.order() == 168
     TQ = Q.table()
     assert TQ.rows.dtype == np.int16 or TQ.degree <= 120
@@ -177,7 +194,7 @@ def _asl32_quotient_table():
 
     lat = lattice(grp("ASL3(2)"))
     (soc,) = [N for N in lat.normal_subgroups() if N.order == 8]
-    TQ = lat.quotient(soc).table()
+    TQ = quotient(lat, soc).table()
     assert TQ.rows.dtype == np.int16 and TQ.degree == 168
     return TQ
 
@@ -208,7 +225,7 @@ def test_lookup_rows_rejects_rows_outside_the_group(which):
         assert T.id_of_row(row) is None
         if len(set(row.tolist())) == T.degree:
             p = Permutation._from_zero(tuple(int(x) for x in row))
-            assert T.id_of_perm(p) is None
+            assert T.id_of_row(np.array(p.zero)) is None
     assert list(T.lookup_rows(inside)) == [0, T.n - 1]
 
 
@@ -238,12 +255,13 @@ def test_extended_chain_stops_above_its_limit():
 def test_id_of_perm():
     G = grp("Sym(3)")
     T = G.table()
-    assert T.id_of_perm(parse_cycles("()", 3)) == 0
-    assert T.id_of_perm(parse_cycles("(1 2 3)", 3)) is not None
+    assert T.id_of_row(np.array(parse_cycles("()", 3).zero)) == 0
+    assert T.id_of_row(np.array(parse_cycles("(1 2 3)", 3).zero)) is not None
     H = grp("Alt(4)")
-    assert H.table().id_of_perm(parse_cycles("(1 2)", 4)) is None
-    assert T.id_of_perm(parse_cycles("(1 2 3)", 4)) is None  # another degree
-    assert T.id_of_perm(parse_cycles("()", 4)) is None
+    assert H.table().id_of_row(np.array(parse_cycles("(1 2)", 4).zero)) is None
+    # another degree
+    assert T.id_of_row(np.array(parse_cycles("(1 2 3)", 4).zero)) is None
+    assert T.id_of_row(np.array(parse_cycles("()", 4).zero)) is None
 
 
 def test_id_of_row_rejects_rows_that_are_not_permutations():

@@ -27,6 +27,7 @@ from groupcover import (
     sigma,
     tomkinson_sigma,
 )
+from groupcover.group import power_rows
 from groupcover.subgroup import SubgroupSet
 from groupcover.subgroup_lattice import SubgroupLattice, _chain_of_ids
 
@@ -34,7 +35,7 @@ lattice_module = importlib.import_module("groupcover.subgroup_lattice")
 group_module = importlib.import_module("groupcover.group")
 
 from conftest import brute_of, grp, manifest_upto, subgroup_ids
-from oracles import coset_closure, o_closure
+from oracles import coset_closure, lmul_by_lookup, o_closure, quotient
 
 
 def test_sym3_cyclic_subgroups():
@@ -82,7 +83,8 @@ def test_cyclic_subgroups_by_powers(spec):
     assert [C.key for C in cyc] == sorted(C.key for C in cyc)
     for e in range(T.n):
         C = cyc[lat._elem_to_cyclic[e]]
-        assert set(C.ids.tolist()) == {T.power(e, k) for k in range(T.orders[e])}
+        powers = [power_rows(T.rows[[e]], k) for k in range(1, T.orders[e] + 1)]
+        assert set(C.ids.tolist()) == set(T.lookup_rows(np.concatenate(powers)).tolist())
     for C, g in zip(cyc, lat._cyclic_gen.tolist()):
         # the recorded generator is the least element generating C
         assert C.gen_ids == [g] == [min(i for i in C.ids if T.orders[i] == C.order)]
@@ -242,11 +244,10 @@ def test_conjugates_and_normality():
     s3 = [M for M in maxs if M.order == 6]
     d8 = [M for M in maxs if M.order == 8]
     assert len(a4) == 1 and len(s3) == 4 and len(d8) == 3
-    assert lat.is_normal(a4[0])
-    assert not lat.is_normal(s3[0])
-    assert len(lat.conjugates(s3[0])) == 4
-    assert len(lat.conjugates(d8[0])) == 3
-    assert len(lat.conjugates(a4[0])) == 1
+    assert a4[0] in lat.normal_subgroups()
+    assert s3[0] not in lat.normal_subgroups()
+    orbit = _orbit_by_key(lat)
+    assert [len(orbit[S.key].gens) for S in (s3[0], d8[0], a4[0])] == [4, 3, 1]
 
 
 def test_m11_maximal_subgroups(m11):
@@ -279,13 +280,13 @@ def test_quotients():
     lat = lattice(grp("Sym(4)"))
     normals = {N.order: N for N in lat.normal_subgroups()}
     assert sorted(normals) == [1, 4, 12, 24]
-    Q = lat.quotient(normals[4])
+    Q = quotient(lat, normals[4])
     assert Q.order() == 6 and not Q.is_abelian()  # Sym(4)/V4 is Sym(3)
-    Q2 = lat.quotient(normals[12])
+    Q2 = quotient(lat, normals[12])
     assert Q2.order() == 2 and Q2.is_cyclic()
-    non_normal = [M for M in lat.maximal_subgroups() if not lat.is_normal(M)][0]
+    non_normal = [M for M in lat.maximal_subgroups() if M not in normals.values()][0]
     with pytest.raises(ValueError):
-        lat.quotient(non_normal)
+        quotient(lat, non_normal)
 
 
 def test_quotient_map_is_homomorphism():
@@ -294,11 +295,16 @@ def test_quotient_map_is_homomorphism():
     G = grp("Sym(4)")
     lat = lattice(G)
     N = [N for N in lat.normal_subgroups() if N.order == 4][0]
-    Q = lat.quotient(N)
+    Q = quotient(lat, N)
     T = G.table()
     QT = Q.table()
+
+    def mul(T, a: int, b: int) -> int:
+        """ID of a b (apply a, then b)."""
+        return int(lmul_by_lookup(T, a, [b])[0])
+
     # the right cosets Nx, numbered in the order of their least element IDs
-    least = [min(T.mul(int(n), x) for n in N.ids) for x in range(T.n)]
+    least = [min(mul(T, int(n), x) for n in N.ids) for x in range(T.n)]
     firsts = sorted(set(least))
     coset_of = [firsts.index(m) for m in least]
     reps: dict[int, int] = {}
@@ -308,7 +314,7 @@ def test_quotient_map_is_homomorphism():
     def phi(x: int) -> int:
         """Image of element x in the quotient: cosets move by right multiplication."""
         img = np.array(
-            [coset_of[T.mul(reps[c], x)] for c in range(Q.degree)],
+            [coset_of[mul(T, reps[c], x)] for c in range(Q.degree)],
             dtype=QT.rows.dtype,
         )
         qid = QT.id_of_row(img)
@@ -317,7 +323,7 @@ def test_quotient_map_is_homomorphism():
 
     for a in range(0, T.n, 5):
         for b in range(0, T.n, 7):
-            assert QT.mul(phi(a), phi(b)) == phi(T.mul(a, b))
+            assert mul(QT, phi(a), phi(b)) == phi(mul(T, a, b))
     # kernel: exactly the elements of N land on the identity coset permutation
     kernel = [x for x in range(T.n) if phi(x) == 0]
     assert sorted(kernel) == sorted(int(i) for i in N.ids)
@@ -335,7 +341,7 @@ def test_quotients_pinned():
         lat = lattice(grp(spec))
         for N in lat.normal_subgroups():
             for M in (N, SubgroupSet(lat.table, N.bits)):
-                Q = lat.quotient(M)
+                Q = quotient(lat, M)
                 images = [g.zero for g in Q.generators]
                 h.update(f"{spec} {Q.degree} {images}\n".encode())
     assert h.hexdigest() == QUOTIENTS
@@ -482,7 +488,10 @@ def test_join_that_reaches_g_returns_no_chain():
 
     lat = _fresh_lattice("Sym(4)")
     T = lat.table
-    ids = [T.id_of_perm(parse_cycles(c, 4)) for c in ("(1 2 3)", "(1 2 3 4)", "(1 2)")]
+    ids = [
+        T.id_of_row(np.array(parse_cycles(c, 4).zero))
+        for c in ("(1 2 3)", "(1 2 3 4)", "(1 2)")
+    ]
     chain = _chain_of_ids(T, ids[:1])
     assert lat._join(chain, ids[1]) is None  # ⟨(1 2 3), (1 2 3 4)⟩ = Sym(4)
     assert lat.joins_spent == 1
@@ -618,15 +627,20 @@ def test_join_overgroup_is_the_least_known(spec, monkeypatch):
             assert orders.min() == K.order, (spec, H, x)
 
 
-def _fingerprint(lat: SubgroupLattice) -> list:
+def _orbit_by_key(lat: SubgroupLattice) -> dict:
+    """The recorded orbit of every proper subgroup, by its key."""
     lat.maximal_subgroups()
+    rec = lat._recorded
+    return {rec.keys[r].tobytes(): o for o in rec.orbits for r in range(o.start, o.stop)}
+
+
+def _fingerprint(lat: SubgroupLattice) -> list:
+    orbit = _orbit_by_key(lat)
+    flags = [(orbit[S.key], S) for S in lat.all_subgroups()]
     return [
         lat.joins_spent,
         lat.joins_materialised,
-        [
-            (S.key, S.gen_ids, S.is_maximal, S.is_normal, S.is_cyclic)
-            for S in lat.all_subgroups()
-        ],
+        [(S.key, S.gen_ids, o.maximal, len(o.gens) == 1, o.cyclic) for o, S in flags],
         [S.key for S in lat.maximal_subgroups()],
     ]
 
@@ -678,14 +692,7 @@ def test_prepass_on_every_class_keeps_the_join_counts(
 
 
 def _non_cyclic_classes(lat: SubgroupLattice) -> int:
-    seen: set[bytes] = set()
-    classes = 0
-    for S in lat.all_subgroups():
-        if S.is_cyclic or S.key in seen:
-            continue
-        classes += 1
-        seen.update(C.key for C in lat.conjugates(S))
-    return classes
+    return len({id(o) for o in _orbit_by_key(lat).values() if not o.cyclic})
 
 
 @pytest.mark.parametrize(
@@ -748,18 +755,17 @@ def test_a_join_answer_already_recorded_is_an_invariant_error(monkeypatch):
 @pytest.mark.parametrize("spec", ["Alt(6)", "PGL2(7)"])
 def test_conjugates_are_the_brute_force_orbits(spec):
     lat = _fresh_lattice(spec)
+    lat.maximal_subgroups()
     bg = brute_of(spec)
-    seen: set[bytes] = set()
-    for S in lat.all_subgroups():
-        if S.key in seen:
-            continue
-        orbit = lat.conjugates(S)
-        assert {subgroup_ids(C) for C in orbit} == bg.conjugacy_orbit(subgroup_ids(S))
-        assert [C.key for C in orbit] == sorted({C.key for C in orbit})
-        assert any(C is S for C in orbit)
-        for C in orbit:
-            assert generated_subgroup(lat.table, C.gen_ids).key == C.key
-        seen.update(C.key for C in orbit)
+    rec = lat._recorded
+    for o in rec.orbits:
+        members = [lat._member(r) for r in range(o.start, o.stop)]
+        keys = [S.key for S in members]
+        assert {subgroup_ids(S) for S in members} == bg.conjugacy_orbit(subgroup_ids(members[0]))
+        assert keys == sorted(set(keys))
+        for S in members:
+            assert generated_subgroup(lat.table, S.gen_ids).key == S.key
+    assert rec.count == len(lat.all_subgroups())
 
 
 def test_m11_joins_materialised(m11):

@@ -38,6 +38,7 @@ from groupcover.analysis import (
 )
 
 from conftest import grp, manifest_upto
+from oracles import quotient
 
 
 def test_sigma_of_cyclic_groups_is_infinite():
@@ -185,7 +186,7 @@ def test_quotient_monotonicity_spot():
     for N in latS4.normal_subgroups():
         if N.order in (1, 24):
             continue
-        q = sigma_value(latS4.quotient(N))
+        q = sigma_value(quotient(latS4, N))
         assert sigma_value(grp("Sym(4)")) <= q
 
 
@@ -204,7 +205,7 @@ def _klein_by_derived_quotient(G) -> bool:
     D = derived_subgroup(G)
     if (G.order() // D.order) % 4 != 0:
         return False
-    QT = lattice(G).quotient(D).table()
+    QT = quotient(lattice(G), D).table()
     return int((QT.orders <= 2).sum()) >= 4
 
 
@@ -217,7 +218,7 @@ def test_quotient_sigmas_match_quotient_groups():
         v = is_sigma_elementary(G)
         assert len(v.quotient_sigmas) == len(by_digest) - 1, spec
         for digest, rec in v.quotient_sigmas.items():
-            want = sigma_value(lat.quotient(by_digest[digest]))
+            want = sigma_value(quotient(lat, by_digest[digest]))
             assert rec["quotient_sigma"] == want, (spec, rec["normal_order"])
         assert has_klein_quotient(G) == _klein_by_derived_quotient(G), spec
 
@@ -231,32 +232,34 @@ def _fresh(spec: str):
 
 
 def test_quotient_facts_build_no_quotient_group(monkeypatch):
-    from groupcover.subgroup_lattice import SubgroupLattice
+    from groupcover import PermGroup
 
-    def no_quotient(self, N):
-        raise AssertionError("a quotient group was built")
-
-    monkeypatch.setattr(SubgroupLattice, "quotient", no_quotient)
-    # the Klein answers and solvable reports that quotient groups gave
-    keys = ("monolithic", "socle_order", "cyclic_over_socle",
-            "predicted_elementary", "computed_elementary", "sigma")
-    for spec, klein, report in [
+    cases = [
         ("Sym(4)", False, (True, 4, False, False, False, 4)),
         ("Dihedral(6)", True, (False, 6, True, False, False, 3)),
         ("AGL1(16)", False, (True, 16, True, True, True, 17)),
-    ]:
-        G = _fresh(spec)
+    ]
+    groups = [_fresh(spec) for spec, _, _ in cases]
+    S4, C6 = _fresh("Sym(4)"), _fresh("Cyclic(6)")
+
+    def no_group(self, *args, **kwargs):
+        raise AssertionError("a group was built")
+
+    monkeypatch.setattr(PermGroup, "__init__", no_group)
+    # the Klein answers and solvable reports that quotient groups gave
+    keys = ("monolithic", "socle_order", "cyclic_over_socle",
+            "predicted_elementary", "computed_elementary", "sigma")
+    for G, (spec, klein, report) in zip(groups, cases):
         assert has_klein_quotient(G) == klein, spec
         rep = solvable_elementary_check(G)
         assert rep == {"group": spec, **dict(zip(keys, report)), "ok": True}
         v = is_sigma_elementary(G)
         assert (v.is_elementary, v.sigma) == (report[4], report[5]), spec
-    assert is_sigma_elementary(_fresh("Sym(4)")).quotient_sigmas == {
+    assert is_sigma_elementary(S4).quotient_sigmas == {
         "d5c01b858b719b83": {"normal_order": 4, "quotient_sigma": 4},
         "25f55028a1e8aab1": {"normal_order": 12, "quotient_sigma": INFINITY},
         "2cfd140f2f1bc5b1": {"normal_order": 24, "quotient_sigma": INFINITY},
     }
-    C6 = _fresh("Cyclic(6)")
     v = is_sigma_elementary(C6)
     assert not v.is_elementary and v.sigma is INFINITY
     assert [r["normal_order"] for r in v.quotient_sigmas.values()] == [2, 3, 6]
