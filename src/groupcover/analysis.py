@@ -28,8 +28,6 @@ from .catalog import MANIFEST, construct
 from .cover import (
     DEFAULT_NODE_BUDGET,
     INFINITY,
-    Certificate,
-    CoverInstance,
     SigmaResult,
     build_instance,
     counting_certificate,
@@ -95,7 +93,7 @@ def sigma_value(G: PermGroup, opts: SigmaOptions | None = None):
         if "joins" in res.stats:  # the worklist ran out before the search
             what, budget = "maximal-subgroup enumeration", opts.join_budget
         else:
-            what, budget = "covering number", opts.node_budget
+            what, budget = "cover search", opts.node_budget
         raise BudgetExhaustedError(
             what, budget, lower=res.interval[0], upper=res.interval[1]
         )
@@ -109,16 +107,17 @@ def _compute_sigma(G: PermGroup, opts: SigmaOptions) -> SigmaResult:
         return result
     try:
         ins = build_instance(G, cap=opts.cap, join_budget=opts.join_budget)
-    except BudgetExhaustedError:
+    except BudgetExhaustedError as e:
         result.cover = []
-        result.interval = _join_exhausted_interval(G, opts)
+        result.interval = (e.lower, e.upper)
         result.stats = {"joins": opts.join_budget}
         return result
-    reduce_instance(ins)  # unique-coverage forcing
-    if opts.sigma_forcing:
-        # without an upper bound, reduce takes the greedy cover's size
-        reduce_instance(ins, sigma_fn=_child_sigma_fn(opts))
-    result.certificates = list(ins.certificates) + [_best_counting_certificate(ins)]
+    reduce_instance(ins, sigma_fn=_child_sigma_fn(opts) if opts.sigma_forcing else None)
+    counting = max(
+        (counting_certificate(ins, k) for k in sorted(ins.order_bits)),
+        key=lambda c: c.payload["bound"],
+    )
+    result.certificates = list(ins.certificates) + [counting]
     try:
         value, cover_idx, result.stats = solve_exact(ins, node_budget=opts.node_budget)
     except BudgetExhaustedError as e:
@@ -126,11 +125,10 @@ def _compute_sigma(G: PermGroup, opts: SigmaOptions) -> SigmaResult:
         result.interval = (e.lower or 1, e.upper)
         result.stats = {"nodes": opts.node_budget}
         return result
-    for cert in result.certificates:
-        if cert.kind == "counting-bound" and cert.payload["bound"] > value:
-            raise InvariantError(
-                f"counting bound {cert.payload['bound']} exceeds sigma {value}"
-            )
+    if counting.payload["bound"] > value:
+        raise InvariantError(
+            f"counting bound {counting.payload['bound']} exceeds sigma {value}"
+        )
     result.sigma = value
     result.cover = [ins.describe_col(j) for j in cover_idx]
     if opts.enumerate_all:
@@ -146,30 +144,13 @@ def _compute_sigma(G: PermGroup, opts: SigmaOptions) -> SigmaResult:
     return result
 
 
-def _join_exhausted_interval(G: PermGroup, opts: SigmaOptions) -> tuple[int, int]:
-    """σ's interval for a non-cyclic G whose worklist ran out of joins: no
-    group is the union of two proper subgroups, and the maximal cyclic
-    subgroups, found without a join, are proper and cover it."""
-    lat = lattice(G, cap=opts.cap, join_budget=opts.join_budget)
-    return 3, len(lat.maximal_cyclic_subgroups())
-
-
-def _best_counting_certificate(ins: CoverInstance) -> Certificate:
-    return max(
-        (counting_certificate(ins, k) for k in sorted(ins.order_bits)),
-        key=lambda c: c.payload["bound"],
-    )
-
-
 def _child_sigma_fn(opts: SigmaOptions):
-    """σ bounds for maximal subgroups, recursion capped at one level."""
+    """σ lower bounds for maximal subgroups, recursion capped at one level."""
     child = replace(opts, sigma_forcing=False, enumerate_all=False)
 
     def fn(H: PermGroup):
         res = sigma(H, child)
-        if res.sigma is None:
-            return res.interval
-        return res.sigma, res.sigma
+        return res.interval[0] if res.sigma is None else res.sigma
 
     return fn
 
@@ -526,8 +507,11 @@ def classification_report(
     whose budget runs out, or whose order is over ``opts.cap``, gets a
     ``skipped`` entry, and a sum row that misses only skipped groups names
     them under ``skipped``.  Returns a report document with ``ok`` false on
-    any mismatch.
+    any mismatch.  ``max_sum`` must lie in the paper's range 3..25, the
+    sums of ``EXPECTED_CLASSIFICATION``.
     """
+    if max_sum not in EXPECTED_CLASSIFICATION:
+        raise ValueError(f"max_sum {max_sum} is outside the paper's range 3..25")
     opts = opts or SigmaOptions()
     sweep: list[dict] = []
     regression: list[dict] = []
@@ -632,10 +616,7 @@ def classification_report(
 def _sweep_one(G: PermGroup, spec_text: str, max_sum: int, opts: SigmaOptions) -> dict:
     if G.is_cyclic():
         return {"sigma": INFINITY, "elementary": False, "status": "cyclic"}
-    try:
-        ins = build_instance(G, cap=opts.cap, join_budget=opts.join_budget)
-    except BudgetExhaustedError as e:
-        raise BudgetExhaustedError(e.what, e.budget, *_join_exhausted_interval(G, opts))
+    ins = build_instance(G, cap=opts.cap, join_budget=opts.join_budget)
     root_bound = ins.residual_lower_bound(
         1 << ins.table.identity_id, (1 << len(ins.cols)) - 1
     )
@@ -649,17 +630,13 @@ def _sweep_one(G: PermGroup, spec_text: str, max_sum: int, opts: SigmaOptions) -
             "sigma_lower_bound": root_bound,
             "status": f"excluded: sigma > {max_sum}",
         }
-    res = sigma(G, opts)
-    if res.sigma is None:
-        raise BudgetExhaustedError(
-            "cover search", opts.node_budget, lower=res.interval[0], upper=res.interval[1]
-        )
-    out: dict = {"sigma": res.sigma, "status": "computed"}
-    if isinstance(res.sigma, int) and res.sigma <= max_sum:
+    s_G = sigma_value(G, opts)
+    out: dict = {"sigma": s_G, "status": "computed"}
+    if isinstance(s_G, int) and s_G <= max_sum:
         verdict = is_sigma_elementary(G, opts)
         out["elementary"] = verdict.is_elementary
         if verdict.is_elementary:
-            out["listed_sum"] = res.sigma
+            out["listed_sum"] = s_G
         elif verdict.witness is not None:
             out["witness_quotient_sigma"] = _jsonable(
                 verdict.witness["quotient_sigma"]

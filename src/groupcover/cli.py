@@ -22,6 +22,7 @@ import sys
 from pathlib import Path
 
 from .analysis import (
+    EXPECTED_CLASSIFICATION,
     ElementaryVerdict,
     SigmaOptions,
     _jsonable,
@@ -203,8 +204,8 @@ def _skipped_rows(report: dict) -> bool:
 
 
 def cmd_table(args) -> int:
-    if args.max_sum < 3:
-        raise ParseError("--max-sum must be at least 3")
+    if args.max_sum not in EXPECTED_CLASSIFICATION:
+        raise ParseError("--max-sum must lie in the paper's range 3..25")
     opts = _options(args)
     report = classification_report(max_sum=args.max_sum, opts=opts)
     sys.stdout.write(_format_table(report))
@@ -232,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sigma", help="compute the covering number")
+    p = sub.add_parser("sigma", help="compute the covering number with certificates")
     p.add_argument("spec", help="catalog:Name(args) or a group file path")
     _common_flags(p)
     p.add_argument("--enumerate-all", action="store_true",
@@ -256,7 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_elementary)
 
     p = sub.add_parser("table", help="recompute the classification by sums")
-    p.add_argument("--max-sum", type=int, default=25)
+    p.add_argument("--max-sum", type=int, default=25,
+                   help="largest covering number to classify, in the paper's range 3..25")
     _common_flags(p)
     p.set_defaults(fn=cmd_table)
 

@@ -118,7 +118,13 @@ class CoverInstance:
             for k in sorted(set(orders.tolist()))
             if k != 1
         }
-        self.cols = cols = sorted(lat.maximal_subgroups(), key=lambda s: (s.digest, s.key))
+        try:
+            maximal = lat.maximal_subgroups()
+        except BudgetExhaustedError as e:
+            # no group is the union of two proper subgroups, and the rows,
+            # found without a join, are proper and cover G
+            raise BudgetExhaustedError(e.what, e.budget, 3, len(self.rows)) from None
+        self.cols = cols = sorted(maximal, key=lambda s: (s.digest, s.key))
         # a cyclic subgroup lies in M exactly when its generator does:
         # member[j, i] is bit g_i of column j's key, g_i row i's generator
         gens = np.array([r.gen_ids[0] for r in self.rows], dtype=np.intp)
@@ -135,19 +141,17 @@ class CoverInstance:
                 "some maximal cyclic subgroup lies in no maximal subgroup"
             )
         self.col_elem_bits = [M.bits for M in cols]
-        # per element order k: each column's count of order-k elements, the
-        # (count, mask of the columns holding that many) tiers of every
-        # nonzero count, largest first, and the mask of columns holding one
-        self.order_counts: dict[int, list[int]] = {}
+        # per element order k: the (count, mask of the columns holding that
+        # many order-k elements) tiers of every nonzero count, largest
+        # first, and the mask of columns holding one
         self.order_tiers: dict[int, list[tuple[int, int]]] = {}
         self.order_cols: dict[int, int] = {}
         for k, bits in self.order_bits.items():
-            counts = [(bits & mb).bit_count() for mb in self.col_elem_bits]
             tiers: dict[int, int] = {}
-            for j, n in enumerate(counts):
+            for j, mb in enumerate(self.col_elem_bits):
+                n = (bits & mb).bit_count()
                 if n:
                     tiers[n] = tiers.get(n, 0) | 1 << j
-            self.order_counts[k] = counts
             self.order_tiers[k] = sorted(tiers.items(), reverse=True)
             self.order_cols[k] = sum(tiers.values())
         self.forced: list[int] = []
@@ -250,7 +254,7 @@ def counting_certificate(instance: CoverInstance, k: int) -> Certificate:
         n_k = m_k = 1  # the identity, which every subgroup holds
     elif k in instance.order_bits:
         n_k = instance.order_bits[k].bit_count()
-        m_k = max(instance.order_counts[k])
+        m_k = instance.order_tiers[k][0][0]
     else:
         raise ValueError(f"{instance.group.label()} has no elements of order {k}")
     return Certificate(
@@ -289,9 +293,10 @@ def reduce(
     """Extend the forced set by unique coverage and, given ``sigma_fn``, by
     subgroup forcing.
 
-    ``sigma_fn`` maps a PermGroup to a (lower, upper) pair for its covering
-    number.  Forcing by σ is valid when the subgroup's lower bound exceeds
-    an upper bound for σ(G): such a maximal subgroup lies in every minimal
+    ``sigma_fn`` maps a PermGroup to a lower bound for its covering number.
+    Forcing by σ is valid when the subgroup's lower bound exceeds an upper
+    bound for σ(G), by default the greedy cover's size from the uniquely
+    covering columns on: such a maximal subgroup lies in every minimal
     cover, and if it is not normal so does its whole conjugacy class.
     """
     forced = set(instance.forced)
@@ -312,50 +317,47 @@ def reduce(
                     },
                 )
             )
+    instance.forced = sorted(forced)
     if sigma_fn is not None:
         if upper_bound is None:
             upper_bound = len(greedy_upper_bound(instance))
         # every conjugate of a maximal subgroup is a column; a normal one
-        # is its own class
+        # is its own class.  Each class with an unforced column is decided
+        # by its first one, in the order of those first columns.
         key_to_idx = {M.key: j for j, M in enumerate(instance.cols)}
-        class_of: dict[int, list[int]] = {}
-        for maximal_class in instance.lat.maximal_classes():
-            cols = sorted(key_to_idx[O.key] for O in maximal_class)
-            class_of.update((c, cols) for c in cols)
-        seen_class: set[int] = set()
-        for j, M in enumerate(instance.cols):
-            if j in seen_class or j in forced:
-                continue
-            orbit = class_of[j]
-            seen_class.update(orbit)
+        unforced = (
+            sorted({key_to_idx[O.key] for O in maximal_class} - forced)
+            for maximal_class in instance.lat.maximal_classes()
+        )
+        for orbit in sorted(filter(None, unforced)):
+            M = instance.cols[orbit[0]]
             H = PermGroup(
                 M.generator_perms(),
                 degree=instance.group.degree,
                 name=f"subgroup[{M.digest}]",
             )
-            lo, _hi = sigma_fn(H)
+            lo = sigma_fn(H)
             if not lo > upper_bound:
                 continue
-            for c in orbit:
-                if c not in forced:
-                    forced.add(c)
-                    instance.certificates.append(
-                        Certificate(
-                            "forced-subgroup",
-                            {
-                                "column": instance.cols[c].digest,
-                                "column_order": instance.cols[c].order,
-                                "reason": "sigma-exceeds-upper-bound",
-                                "sigma_lower": _bound_repr(lo),
-                                "upper_bound": upper_bound,
-                            },
-                        )
-                    )
+            forced.update(orbit)
+            instance.certificates += [
+                Certificate(
+                    "forced-subgroup",
+                    {
+                        "column": instance.cols[c].digest,
+                        "column_order": instance.cols[c].order,
+                        "reason": "sigma-exceeds-upper-bound",
+                        "sigma_lower": _bound_repr(lo),
+                        "upper_bound": upper_bound,
+                    },
+                )
+                for c in orbit
+            ]
+        instance.forced = sorted(forced)
     if upper_bound is not None and len(forced) > upper_bound:
         raise InvariantError(
             f"{len(forced)} forced columns exceed the upper bound {upper_bound}"
         )
-    instance.forced = sorted(forced)
     return instance
 
 

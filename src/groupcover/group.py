@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapExceededError
+from .errors import CapExceededError, InvariantError
 from .perm import Permutation, compose, invert
 from .subgroup import SubgroupSet
 
@@ -226,7 +226,7 @@ class ElementTable:
         self._slot = np.full(order, -1, dtype=np.int32)
         self._slot[sift_keys(self._sift, rows)] = np.arange(order, dtype=np.int32)
         if (self._slot < 0).any():
-            raise AssertionError("sift keys of the element rows collide")
+            raise InvariantError("sift keys of the element rows collide")
         # The chain products lie in ⟨gens⟩ and hold the identity, so rows
         # closed under every generator are all of ⟨gens⟩: a chain that
         # lists a proper subgroup fails here.  The lookups are kept as the
@@ -238,7 +238,7 @@ class ElementTable:
                     np.array(g.zero, dtype=rows.dtype)[rows]
                 )
             except KeyError:
-                raise AssertionError(
+                raise InvariantError(
                     f"the {order} chain elements are not closed under generator {k}"
                 ) from None
 

@@ -318,7 +318,7 @@ class ReferenceSearch:
     The same interface as ``groupcover.cover._Search``: ``solve()`` and
     ``enumerate(sigma, limit)``, and ``nodes`` afterwards.  Its residual
     lower bound is its own: per element order it walks the columns by
-    descending count, derived here from the instance's ``order_counts``.
+    descending count, from per-column counts derived here.
     """
 
     def __init__(self, instance: CoverInstance, node_budget: int, cols: int | None = None):
@@ -332,11 +332,15 @@ class ReferenceSearch:
         self.solution_limit = 0
         self.root_lb = 0
         self.all_rows = (1 << len(instance.rows)) - 1
-        # per element order k: the columns by descending count (lowest
-        # index first on ties), and the mask of columns holding at least one
+        # per element order k: each column's count of order-k elements, the
+        # columns by descending count (lowest index first on ties), and the
+        # mask of columns holding at least one
+        self.order_counts: dict[int, list[int]] = {}
         self.order_by_count: dict[int, list[int]] = {}
         self.order_cols: dict[int, int] = {}
-        for k, counts in instance.order_counts.items():
+        for k, bits in instance.order_bits.items():
+            counts = [(bits & mb).bit_count() for mb in instance.col_elem_bits]
+            self.order_counts[k] = counts
             self.order_by_count[k] = sorted(range(len(counts)), key=lambda j: -counts[j])
             self.order_cols[k] = sum(1 << j for j, n in enumerate(counts) if n)
 
@@ -380,7 +384,7 @@ class ReferenceSearch:
             m = 0
             for j in self.order_by_count[k]:
                 if avail >> j & 1:
-                    m = self.ins.order_counts[k][j]
+                    m = self.order_counts[k][j]
                     break
             if m == 0:
                 return None

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
@@ -171,12 +172,25 @@ def test_parse_failures_exit_2(capsys):
     assert run(capsys, "sigma", "/nonexistent/file.grp")[0] == 2
     assert run(capsys, "sigma", "catalog:Sym(4)", "--cap", "0")[0] == 2
     assert run(capsys, "table", "--max-sum", "2")[0] == 2
+    assert run(capsys, "table", "--max-sum", "26")[0] == 2
     assert run(capsys, "table", "--cap", "0")[0] == 2
     assert run(capsys, "table", "--node-budget", "0")[0] == 2
     assert run(capsys, "sigma", "catalog:M11", "--join-budget", "0")[0] == 2
     for limit in ["0", "-1"]:
         code, _, err = run(capsys, "sigma", "catalog:Alt(5)", "--enumerate-all", "--limit", limit)
         assert code == 2 and "--limit must be at least 1" in err
+
+
+def test_table_above_the_papers_range_exits_2_before_building_a_group(capsys, monkeypatch):
+    from groupcover import analysis
+
+    built = []
+    monkeypatch.setattr(analysis, "construct", built.append)
+    for max_sum in ["28", "31"]:
+        code, out, err = run(capsys, "table", "--max-sum", max_sum)
+        assert (code, out) == (2, "")
+        assert err == "error: --max-sum must lie in the paper's range 3..25\n"
+    assert built == []
 
 
 def test_cap_exhaustion_exits_3(capsys):
@@ -197,6 +211,12 @@ def test_node_budget_exhaustion_exits_3(tmp_path, capsys):
     assert doc["sigma"] is None
     lo, hi = doc["interval"]
     assert lo <= 10 <= hi
+
+
+def test_elementary_node_budget_exhaustion_names_the_cover_search(capsys):
+    code, out, err = run(capsys, "elementary", "catalog:Alt(6)", "--node-budget", "5")
+    assert (code, out) == (3, "")
+    assert err == "error: cover search budget of 5 exhausted (best interval [11, 17])\n"
 
 
 def test_join_budget_exhaustion_exits_3_then_sigma_is_exact(tmp_path, capsys):
@@ -246,6 +266,28 @@ def test_table_join_budget_exhaustion_gives_sigma_intervals(tmp_path, capsys, mo
     assert skipped["ElemAbelian(2,2)"] == [3, 3] and skipped["Sym(4)"] == [3, 13]
 
 
+def test_table_join_budget_exhaustion_runs_each_worklist_once(capsys, monkeypatch):
+    from groupcover import analysis, construct
+    from groupcover.subgroup_lattice import SubgroupLattice
+
+    # fresh groups, so that every worklist runs under this table's budget
+    monkeypatch.setattr(analysis, "construct", construct.__wrapped__)
+    runs = Counter()
+    run_worklist = SubgroupLattice._run_worklist
+
+    def counted(lat):
+        runs[lat.group.label()] += 1
+        return run_worklist(lat)
+
+    monkeypatch.setattr(SubgroupLattice, "_run_worklist", counted)
+    code, text, _ = run(capsys, "table", "--max-sum", "5", "--join-budget", "1")
+    assert code == 3
+    skipped = [line for line in text.splitlines()
+               if line.endswith(": skipped on exhausted maximal-subgroup enumeration")]
+    assert len(skipped) == len(runs) == 66
+    assert set(runs.values()) == {1}
+
+
 def test_enumeration_budget_exhaustion_prints_sigma_and_exits_3(capsys):
     code, out, _ = run(
         capsys, "sigma", "catalog:AGL1(7)", "--enumerate-all", "--node-budget", "1"
@@ -293,6 +335,10 @@ _PINNED_DOCUMENTS = [
      "04756a653982c54bc8408e10d473f9fba11c6c9328f693e4db92c9dbf85be468"),
     ("sigma catalog:PGammaL2(8) --enumerate-all --sigma-forcing",
      "1f88403ebed40213040bfccfee1a8b9f45e5c4bb91ed618e47856c97967052fb"),
+    ("sigma catalog:Sym(6) --sigma-forcing",
+     "8f6734b6e01500e93f4d23ca58e31326e96dc5ca0e2e4620dc20878dcfe09844"),
+    ("sigma catalog:M11 --sigma-forcing",
+     "39f45e830f07e172f27aef6702dc4755070fbf60ae13a179a011a1df1b88a9c7"),
     ("sigma catalog:Cyclic(12)",
      "1f5d4883abc0a4e5db8914b4650e7eca883aa19e131c53e2b494c4309e3076a2"),
     ("elementary catalog:Sym(4)",

@@ -8,6 +8,7 @@ import pytest
 from groupcover import (
     MANIFEST,
     CapExceededError,
+    InvariantError,
     PermGroup,
     Permutation,
     center,
@@ -276,7 +277,7 @@ def test_element_table_rejects_a_chain_of_a_proper_subgroup():
     first = G.generators[0]
     G._chain = StabilizerChain.build([first.zero], G.degree)
     assert G.order() == first.order() < 24
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvariantError):
         G.table()
 
 

@@ -35,6 +35,7 @@ from groupcover.analysis import (
     EXPECTED_CLASSIFICATION,
     ISOMORPHIC_ALIASES,
     SIGMA_EXPECTATIONS,
+    classification_report,
 )
 
 from conftest import grp, manifest_upto
@@ -331,6 +332,66 @@ def test_solvable_elementary_check():
         solvable_elementary_check(grp("ElemAbelian(5,2)"))
 
 
+def _prime_power(q: int):
+    """(p, e) with q = p^e, or None when q is not a prime power."""
+    p = next(p for p in range(2, q + 1) if q % p == 0)
+    e = 0
+    while q % p == 0:
+        q //= p
+        e += 1
+    return (p, e) if q == 1 else None
+
+
+def _order_mod(p: int, d: int) -> int:
+    """The multiplicative order of p modulo d, for d ≥ 2 coprime to p."""
+    e, x = 1, p % d
+    while x != 1:
+        x, e = x * p % d, e + 1
+    return e
+
+
+def test_solvable_rows_are_derived_from_theory():
+    """The classification's solvable rows, generated, not listed.
+
+    Tomkinson, "Groups as the union of proper subgroups" (Math. Scand.
+    1997): a solvable σ-elementary group is C_p × C_p with σ = p + 1, or
+    monolithic and cyclic over its socle with σ = |soc| + 1, the form that
+    ``solvable_elementary_check`` asserts.  By Schur's lemma a cyclic group
+    acting irreducibly on F_p^e lies in a Singer cycle, so the non-abelian
+    candidates are F_q ⋊ C_d, q = p^e and d | q − 1: irreducible exactly
+    when the order of p mod d is e.
+    """
+    derived, reducible = [], []
+    for p in range(2, 25):
+        if _prime_power(p) == (p, 1):
+            verdict = is_sigma_elementary(grp(f"ElemAbelian({p},2)"))
+            assert (verdict.is_elementary, verdict.sigma) == (True, p + 1), p
+            derived.append((p + 1, p * p))
+    for q in range(3, 25):
+        pe = _prime_power(q)
+        if pe is None:
+            continue
+        p, e = pe
+        for d in range(2, q):
+            if (q - 1) % d:
+                continue
+            verdict = is_sigma_elementary(grp(f"AffineSemilinear({q},{d},1)"))
+            if _order_mod(p, d) == e:
+                assert (verdict.is_elementary, verdict.sigma) == (True, q + 1), (q, d)
+                derived.append((q + 1, q * d))
+            else:
+                assert not verdict.is_elementary, (q, d)
+                reducible.append((q, d))
+    assert reducible == [(9, 2), (16, 3)]
+    listed = [
+        (s, grp(name).order())
+        for s, names in EXPECTED_CLASSIFICATION.items()
+        for name in names
+        if is_solvable(grp(name))
+    ]
+    assert Counter(derived) == Counter(listed)
+
+
 def test_solvable_elementary_check_keeps_the_join_budget():
     G = _fresh("Sym(4)")  # its worklist needs 28 joins
     with pytest.raises(BudgetExhaustedError):
@@ -523,6 +584,12 @@ def test_expectation_tables_are_well_formed():
     for name, rec in SIGMA_EXPECTATIONS.items():
         assert name in MANIFEST
         assert isinstance(rec["sigma"], int) and rec["sigma"] >= 3
+
+
+def test_classification_report_keeps_to_the_papers_sums():
+    for max_sum in (2, 26):
+        with pytest.raises(ValueError, match="range 3..25"):
+            classification_report(max_sum)
 
 
 def test_alias_fold_flags_a_partner_outside_the_row(monkeypatch):
